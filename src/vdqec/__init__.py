@@ -32,7 +32,6 @@ from .synth import (
     approximate_rz,
     compile_circuit,
     dist,
-    euler_decompose,
     is_normal_form,
     sequence_unitary,
 )
@@ -42,7 +41,6 @@ from .inject import (
     SensitivityProfile,
     SensitivityRecord,
     enumerate_sites,
-    inject,
     profile_from_json,
     profile_to_json,
     run_campaign,
@@ -54,6 +52,8 @@ from .qecc import (
     assign_two_distance,
     assignment_from_json,
     assignment_to_json,
+    distance_config,
+    ladder,
     latency,
     log_p_grid,
     logical_error_rate,
@@ -63,5 +63,4 @@ from .qecc import (
     time_to_solution,
     uniform_assignment,
 )
-from .render import export_heatmap
 from .pipeline import RunConfig, run_pipeline

@@ -27,9 +27,9 @@ from .qecc import (
     ErrorModelParams,
     assign_two_distance,
     assignment_to_json,
+    ladder,
     log_p_grid,
     sweep_tts,
-    uniform_assignment,
 )
 from .qpe import QpeSpec, build_qpe
 from .render import (
@@ -72,9 +72,12 @@ def _read_json(path: str) -> dict:
         raise ValidationError(f"missing input file: {path}")
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
+            doc = json.load(fh)
+    except ValueError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path} must hold a JSON object")
+    return doc
 
 
 def _read_circuit(path: str):
@@ -162,7 +165,7 @@ def cmd_inject(args) -> int:
             "that carries one"
         )
     mode = "full-depolarizing" if args.mode == "full" else args.mode
-    profile = run_campaign(circuit, bitstring, mode, args.threads)
+    profile = run_campaign(circuit, bitstring, mode)
     _emit(_json_bytes(profile_to_json(profile)), args.output)
     if args.out_csv:
         write_atomic(args.out_csv, heatmap_csv_bytes(profile))
@@ -185,28 +188,16 @@ def cmd_assign(args) -> int:
     return 0
 
 
-def _parse_distance_config(text: str) -> tuple[int, ...]:
-    try:
-        cfg = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ValidationError(f"bad distance config {text!r}") from None
-    if len(cfg) not in (1, 2):
-        raise ValidationError(f"distance config needs 1 or 2 entries: {text!r}")
-    return cfg
-
-
 def cmd_tts(args) -> int:
     profile = _read_profile(args.profile, args.circuit)
     params = ErrorModelParams(args.prefactor, args.threshold)
-    assignments = []
+    configs = []
     for text in args.configs:
-        cfg = _parse_distance_config(text)
-        if len(cfg) == 1:
-            assignments.append(uniform_assignment(profile.num_qubits, cfg[0]))
-        else:
-            assignments.append(
-                assign_two_distance(profile, cfg[0], cfg[1], args.tau)
-            )
+        try:
+            configs.append([int(part) for part in text.split(",")])
+        except ValueError:
+            raise ValidationError(f"bad distance config {text!r}") from None
+    assignments = ladder(profile, configs, args.tau)
     grid = log_p_grid(args.p_min, args.p_max, args.p_points)
     points = sweep_tts(profile, assignments, grid, params, not args.no_resize)
     write_atomic(args.out_csv, sweep_csv_bytes(points))
@@ -220,13 +211,11 @@ def cmd_pipeline(args) -> int:
         config = config_from_json(_read_json(args.config))
     else:
         config = RunConfig()
-    run_pipeline(config, args.out_dir, args.threads)
+    run_pipeline(config, args.out_dir)
     return 0
 
 
-def _threads_default() -> int:
-    env = os.environ.get("VDQEC_THREADS")
-    return int(env) if env else 1
+_THREADS_HELP = "accepted and ignored: the campaign runs in one thread"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--circuit", required=True)
     p.add_argument("--bitstring", default=None)
     p.add_argument("--mode", choices=list(MODES) + ["full"], default="mirrored")
-    p.add_argument("--threads", type=int, default=_threads_default())
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--out-csv", default=None)
     p.add_argument("--out-svg", default=None)
@@ -315,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="run every stage into a directory")
     p.add_argument("--config", default=None, help="RunConfig JSON file")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--threads", type=int, default=_threads_default())
+    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.set_defaults(func=cmd_pipeline)
 
     return parser
@@ -326,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VdqecError as exc:

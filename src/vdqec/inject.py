@@ -13,13 +13,13 @@ still reading the correct bitstring, relative to the noiseless run.
 The campaign aggregates records into spatio-temporal cells keyed by
 (qubit, timestep): the mean relative PST over every error type at the
 gates touching that cell. Cells of non-faultable gates report 1.0 with
-zero records.
+zero records. A cell holds one gate, so gate lists that put two gates on
+one qubit at one timestep are rejected.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,24 +27,17 @@ import numpy as np
 from .errors import CampaignError, ValidationError
 from .sim import (
     Circuit,
-    GateOp,
     StateVector,
     _apply_1q,
     _apply_op,
     circuit_digest,
+    gate_matrix,
     output_distribution,
     pst,
-    simulate,
     zero_state,
 )
 
 MODES = ("mirrored", "full-depolarizing")
-
-_PAULI_MATS = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.diag([1.0, -1.0]).astype(complex),
-}
 
 
 @dataclass(frozen=True)
@@ -85,13 +78,6 @@ class GateSummary:
 
 
 @dataclass(frozen=True)
-class CellStats:
-    mean_relative_pst: float
-    min_relative_pst: float
-    n_records: int
-
-
-@dataclass(frozen=True)
 class SensitivityProfile:
     circuit_digest: str
     num_qubits: int
@@ -101,14 +87,23 @@ class SensitivityProfile:
     gates: tuple[GateSummary, ...]
 
     @property
-    def cells(self) -> dict[tuple[int, int], CellStats]:
-        """(qubit, timestep) -> aggregate over error types at that cell."""
-        out: dict[tuple[int, int], CellStats] = {}
-        for g in self.gates:
-            stats = CellStats(g.mean_relative_pst, g.min_relative_pst, g.n_records)
-            for q in g.qubits:
-                out[(q, g.timestep)] = stats
-        return out
+    def cells(self) -> dict[tuple[int, int], GateSummary]:
+        """(qubit, timestep) -> the summary of the gate at that cell."""
+        return {(q, g.timestep): g for g in self.gates for q in g.qubits}
+
+
+def _check_distinct_cells(gates) -> None:
+    """Raise ValidationError if two gates touch one (qubit, timestep) cell;
+    `gates` holds anything with .qubits and .timestep."""
+    seen = set()
+    for g in gates:
+        for q in g.qubits:
+            if (q, g.timestep) in seen:
+                raise ValidationError(
+                    f"two gates act on qubit {q} at timestep {g.timestep}; "
+                    "a sensitivity cell holds one gate"
+                )
+            seen.add((q, g.timestep))
 
 
 def enumerate_sites(circuit: Circuit, mode: str = "mirrored") -> list[FaultSite]:
@@ -131,29 +126,6 @@ def enumerate_sites(circuit: Circuit, mode: str = "mirrored") -> list[FaultSite]
     return sites
 
 
-def inject(circuit: Circuit, site: FaultSite) -> Circuit:
-    """Copy of the circuit with the site's Pauli gates inserted after the
-    faulted gate, at the same timestep."""
-    if not (0 <= site.gate_index < len(circuit.ops)):
-        raise ValidationError(f"gate_index {site.gate_index} out of range")
-    op = circuit.ops[site.gate_index]
-    if len(site.paulis) != len(op.qubits):
-        raise ValidationError(
-            f"site has {len(site.paulis)} Paulis for a {len(op.qubits)}-qubit gate"
-        )
-    extra = tuple(
-        GateOp(p, (q,), (), op.timestep, faultable=False)
-        for p, q in zip(site.paulis, op.qubits)
-        if p != "I"
-    )
-    ops = (
-        circuit.ops[: site.gate_index + 1]
-        + extra
-        + circuit.ops[site.gate_index + 1 :]
-    )
-    return Circuit(circuit.num_qubits, ops, circuit.measured_qubits)
-
-
 def _site_pst(circuit: Circuit, prefixes, site: FaultSite, correct: str) -> float:
     """PST of one injected run, reusing the cached state just after the
     faulted gate."""
@@ -161,7 +133,7 @@ def _site_pst(circuit: Circuit, prefixes, site: FaultSite, correct: str) -> floa
     amps = prefixes[site.gate_index]
     for p, q in zip(site.paulis, circuit.ops[site.gate_index].qubits):
         if p != "I":
-            amps = _apply_1q(amps, n, q, _PAULI_MATS[p])
+            amps = _apply_1q(amps, n, q, gate_matrix(p))
     for op in circuit.ops[site.gate_index + 1 :]:
         amps = _apply_op(amps, n, op)
     dist = output_distribution(StateVector(n, amps), circuit.measured_qubits)
@@ -176,12 +148,11 @@ def run_campaign(
 ) -> SensitivityProfile:
     """Simulate every fault site exactly and aggregate the results.
 
-    The outcome is independent of `threads`; workers only split the site
-    list and results are merged back in enumeration order.
+    The campaign runs in this thread; `threads` is accepted and ignored.
     """
-    threads = max(1, int(threads))
     if not circuit.ops:
         raise CampaignError("circuit has no gates to inject into")
+    _check_distinct_cells(circuit.ops)
     n = circuit.num_qubits
     prefixes = []
     amps = zero_state(n).amplitudes
@@ -196,16 +167,7 @@ def run_campaign(
         )
 
     sites = enumerate_sites(circuit, mode)
-    if threads == 1 or len(sites) < 2 * threads:
-        noisy = [_site_pst(circuit, prefixes, s, correct_bitstring) for s in sites]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            noisy = list(
-                pool.map(
-                    lambda s: _site_pst(circuit, prefixes, s, correct_bitstring),
-                    sites,
-                )
-            )
+    noisy = [_site_pst(circuit, prefixes, s, correct_bitstring) for s in sites]
 
     records = tuple(
         SensitivityRecord(site, p_noisy, p_noisy / pst_ideal)
@@ -277,6 +239,7 @@ def profile_from_json(doc: dict) -> SensitivityProfile:
             )
             for gi, kind, qubits, ts, f, mean, mn, nr in doc["gates"]
         )
+        _check_distinct_cells(gates)
         return SensitivityProfile(
             circuit_digest=doc["circuit_digest"],
             num_qubits=int(doc["num_qubits"]),
@@ -287,22 +250,3 @@ def profile_from_json(doc: dict) -> SensitivityProfile:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed profile document: {exc}") from exc
-
-
-def relative_pst_of_injection(
-    circuit: Circuit, site: FaultSite, correct_bitstring: str
-) -> float:
-    """Reference path through inject() + simulate(); the campaign's cached
-    computation must agree with this."""
-    ideal = pst(
-        output_distribution(simulate(circuit), circuit.measured_qubits),
-        correct_bitstring,
-    )
-    noisy_circ = inject(circuit, site)
-    noisy = pst(
-        output_distribution(simulate(noisy_circ), noisy_circ.measured_qubits),
-        correct_bitstring,
-    )
-    if ideal <= 0.0:
-        raise CampaignError("noiseless PST is zero")
-    return noisy / ideal

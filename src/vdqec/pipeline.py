@@ -12,9 +12,33 @@ import contextlib
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .errors import ValidationError, VdqecError
+from .inject import MODES, profile_to_json, run_campaign
+from .qecc import (
+    ErrorModelParams,
+    assignment_to_json,
+    check_tau,
+    distance_config,
+    ladder,
+    log_p_grid,
+    sweep_tts,
+)
+from .qpe import QpeSpec, build_qpe
+from .render import (
+    curves_svg_bytes,
+    heatmap_csv_bytes,
+    heatmap_svg_bytes,
+    sweep_csv_bytes,
+)
+from .sim import circuit_to_json
+from .synth import DEFAULT_MAX_LENGTH, check_budget, compile_circuit
+
+SCHEMA_VERSION = 1
+
+# RunConfig annotation -> accepted types; bools are not numbers here
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
 
 
 @contextlib.contextmanager
@@ -25,26 +49,6 @@ def _stage(name: str):
     except VdqecError as exc:
         exc.args = (f"stage {name}: {exc}",)
         raise
-from .inject import MODES, profile_to_json, run_campaign
-from .qecc import (
-    ErrorModelParams,
-    assign_two_distance,
-    assignment_to_json,
-    log_p_grid,
-    sweep_tts,
-    uniform_assignment,
-)
-from .qpe import QpeSpec, build_qpe
-from .render import (
-    curves_svg_bytes,
-    heatmap_csv_bytes,
-    heatmap_svg_bytes,
-    sweep_csv_bytes,
-)
-from .sim import circuit_to_json
-from .synth import DEFAULT_MAX_LENGTH, compile_circuit
-
-SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -67,17 +71,30 @@ class RunConfig:
     include_resize: bool = True
 
     def __post_init__(self):
+        """Check every field, so a bad config fails before any stage runs."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            want = _FIELD_TYPES.get(f.type)
+            if want and (
+                isinstance(value, bool) != (f.type == "bool")
+                or not isinstance(value, want)
+            ):
+                raise ValidationError(f"{f.name} must be {f.type}, got {value!r}")
         if self.injection_mode not in MODES:
             raise ValidationError(
                 f"injection_mode must be one of {MODES}"
             )
-        if self.synthesis_epsilon <= 0:
-            raise ValidationError("synthesis_epsilon must be positive")
-        for cfg in self.distance_configs:
-            if len(cfg) not in (1, 2):
-                raise ValidationError(
-                    f"distance config must have 1 or 2 entries, got {cfg}"
-                )
+        if not isinstance(self.distance_configs, (list, tuple)):
+            raise ValidationError("distance_configs must be a list of configs")
+        object.__setattr__(
+            self, "distance_configs",
+            tuple(map(distance_config, self.distance_configs)),
+        )
+        QpeSpec(self.counting_qubits, self.phase_num, self.phase_den)
+        check_budget(self.synthesis_epsilon, self.max_length)
+        ErrorModelParams(self.prefactor, self.threshold)
+        log_p_grid(self.p_min, self.p_max, self.p_points)
+        check_tau(self.tau)
 
 
 def config_from_json(doc: dict) -> RunConfig:
@@ -85,19 +102,11 @@ def config_from_json(doc: dict) -> RunConfig:
         raise ValidationError(
             f"unsupported config schema_version {doc.get('schema_version')}"
         )
-    known = {f for f in RunConfig.__dataclass_fields__}
+    known = {f.name for f in fields(RunConfig)}
     unknown = set(doc) - known - {"schema_version"}
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {k: v for k, v in doc.items() if k in known}
-    if "distance_configs" in kwargs:
-        kwargs["distance_configs"] = tuple(
-            tuple(int(d) for d in cfg) for cfg in kwargs["distance_configs"]
-        )
-    try:
-        return RunConfig(**kwargs)
-    except TypeError as exc:
-        raise ValidationError(f"malformed config: {exc}") from exc
+    return RunConfig(**{k: v for k, v in doc.items() if k in known})
 
 
 def config_to_json(config: RunConfig) -> dict:
@@ -122,7 +131,7 @@ def _label_filename(label: str) -> str:
     return "assignment_" + label.replace("=", "").replace(",", "_") + ".json"
 
 
-def run_pipeline(config: RunConfig, out_dir: str, threads: int = 1) -> dict:
+def run_pipeline(config: RunConfig, out_dir: str) -> dict:
     """Run every stage and write all artifacts into out_dir.
 
     Returns the manifest (also written as manifest.json)."""
@@ -145,7 +154,7 @@ def run_pipeline(config: RunConfig, out_dir: str, threads: int = 1) -> dict:
         )
 
     with _stage("inject"):
-        profile = run_campaign(compiled, correct, config.injection_mode, threads)
+        profile = run_campaign(compiled, correct, config.injection_mode)
         artifacts["profile.json"] = _json_bytes(profile_to_json(profile))
 
     with _stage("heatmap"):
@@ -154,14 +163,7 @@ def run_pipeline(config: RunConfig, out_dir: str, threads: int = 1) -> dict:
 
     with _stage("assign"):
         params = ErrorModelParams(config.prefactor, config.threshold)
-        assignments = []
-        for cfg in config.distance_configs:
-            if len(cfg) == 1:
-                assignments.append(uniform_assignment(profile.num_qubits, cfg[0]))
-            else:
-                assignments.append(
-                    assign_two_distance(profile, cfg[0], cfg[1], config.tau)
-                )
+        assignments = ladder(profile, config.distance_configs, config.tau)
         for assignment in assignments:
             artifacts[_label_filename(assignment.label)] = _json_bytes(
                 assignment_to_json(assignment)

@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import AssignmentError, ValidationError
 from .inject import SensitivityProfile
-from .sim import Circuit
 
 INFINITE_TTS = math.inf
 
@@ -39,8 +38,8 @@ class ErrorModelParams:
     threshold: float = 0.0057
 
     def __post_init__(self):
-        if self.prefactor <= 0 or self.threshold <= 0:
-            raise ValidationError("prefactor and threshold must be positive")
+        if not (0 < self.prefactor < math.inf and 0 < self.threshold < math.inf):
+            raise ValidationError("prefactor and threshold must be finite and positive")
 
 
 DEFAULT_PARAMS = ErrorModelParams()
@@ -115,13 +114,18 @@ def uniform_assignment(
     return CodeAssignment(label, num_qubits, schedules)
 
 
+def check_tau(tau: float) -> None:
+    """Raise ValidationError unless the escalation threshold is in [0, 1]."""
+    if not (0.0 <= tau <= 1.0):
+        raise ValidationError(f"tau must be in [0, 1], got {tau}")
+
+
 def assign_two_distance(
     profile: SensitivityProfile, d_low: int, d_high: int, tau: float = 0.9
 ) -> CodeAssignment:
     """Escalate each qubit from d_low to d_high at its earliest cell whose
     mean relative PST drops below tau; qubits that never drop stay low."""
-    if not (0.0 <= tau <= 1.0):
-        raise ValidationError(f"tau must be in [0, 1], got {tau}")
+    check_tau(tau)
     if d_high < d_low:
         raise ValidationError("d_high must be >= d_low")
     cells = profile.cells
@@ -142,6 +146,33 @@ def assign_two_distance(
     return CodeAssignment(
         f"d={d_low},{d_high}", profile.num_qubits, tuple(schedules)
     )
+
+
+def distance_config(values) -> tuple[int, ...]:
+    """A validated distance config: (d,) for a uniform code or
+    (d_low, d_high) for a two-distance assignment, each odd and >= 3."""
+    if not isinstance(values, (list, tuple)) or len(values) not in (1, 2):
+        raise ValidationError(
+            f"distance config must be a list of 1 or 2 distances, got {values!r}"
+        )
+    for d in values:
+        if isinstance(d, bool) or not isinstance(d, int) or d < 3 or d % 2 == 0:
+            raise ValidationError(f"distance must be an odd int >= 3, got {d!r}")
+    if values[-1] < values[0]:
+        raise ValidationError(f"distances may only grow, got {values!r}")
+    return tuple(values)
+
+
+def ladder(profile: SensitivityProfile, configs, tau: float) -> list[CodeAssignment]:
+    """One assignment per distance config: uniform for (d,), two-distance
+    for (d_low, d_high)."""
+    out = []
+    for cfg in map(distance_config, configs):
+        if len(cfg) == 1:
+            out.append(uniform_assignment(profile.num_qubits, cfg[0]))
+        else:
+            out.append(assign_two_distance(profile, cfg[0], cfg[1], tau))
+    return out
 
 
 def logical_error_rate(
@@ -201,30 +232,14 @@ def pst_bound(
     return float(total)
 
 
-def latency(
-    circuit: Circuit, assignment: CodeAssignment, include_resize: bool = True
-) -> int:
+def latency(gates, assignment: CodeAssignment, include_resize: bool = True) -> int:
     """Total cycles: each gate costs the largest distance among the patches
-    it touches at that timestep, plus optional resize costs."""
-    return _latency(
-        ((op.qubits, op.timestep) for op in circuit.ops), assignment, include_resize
-    )
-
-
-def latency_from_profile(
-    profile: SensitivityProfile,
-    assignment: CodeAssignment,
-    include_resize: bool = True,
-) -> int:
-    return _latency(
-        ((g.qubits, g.timestep) for g in profile.gates), assignment, include_resize
-    )
-
-
-def _latency(gate_locs, assignment: CodeAssignment, include_resize: bool) -> int:
+    it touches at that timestep, plus optional resize costs. `gates` holds
+    anything with .qubits and .timestep, such as circuit.ops or
+    profile.gates."""
     total = 0
-    for qubits, timestep in gate_locs:
-        total += max(assignment.distance_at(q, timestep) for q in qubits)
+    for g in gates:
+        total += max(assignment.distance_at(q, g.timestep) for q in g.qubits)
     if include_resize:
         total += assignment.resize_cost()
     return total
@@ -269,7 +284,7 @@ def sweep_tts(
     ordered by assignment then by p."""
     points = []
     for assignment in assignments:
-        cycles = latency_from_profile(profile, assignment, include_resize)
+        cycles = latency(profile.gates, assignment, include_resize)
         for p in p_grid:
             bound = pst_bound(profile, assignment, float(p), params)
             points.append(

@@ -126,14 +126,6 @@ def heatmap_svg_bytes(profile: SensitivityProfile) -> bytes:
     return ("\n".join(parts) + "\n").encode()
 
 
-def export_heatmap(profile: SensitivityProfile, csv_path: str, svg_path: str) -> None:
-    """Write the profile's cell table as CSV and its rendering as SVG."""
-    from .pipeline import write_atomic
-
-    write_atomic(csv_path, heatmap_csv_bytes(profile))
-    write_atomic(svg_path, heatmap_svg_bytes(profile))
-
-
 def sweep_csv_bytes(points: list[TtsPoint]) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -106,6 +107,10 @@ class GateOp:
         if len(self.params) != nparams:
             raise InvalidCircuitError(
                 f"{self.kind} expects {nparams} parameter(s), got {self.params}"
+            )
+        if not all(math.isfinite(p) for p in self.params):
+            raise InvalidCircuitError(
+                f"{self.kind} parameters must be finite, got {self.params}"
             )
 
 
@@ -292,7 +297,7 @@ def circuit_from_json(doc: dict) -> Circuit:
             ops=ops,
             measured_qubits=tuple(doc["measured_qubits"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed circuit document: {exc}") from exc
 
 
@@ -300,10 +305,3 @@ def circuit_digest(circuit: Circuit) -> str:
     """Stable sha256 over the canonical JSON form."""
     blob = json.dumps(circuit_to_json(circuit), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def with_faultable(circuit: Circuit, faultable: bool) -> Circuit:
-    """Copy of the circuit with every op's faultable flag overridden."""
-    return replace(
-        circuit, ops=tuple(replace(op, faultable=faultable) for op in circuit.ops)
-    )

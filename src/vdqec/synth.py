@@ -18,6 +18,7 @@ against plain enumeration.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, replace
 
@@ -164,6 +165,17 @@ class _SearchTable:
 _TABLE = _SearchTable()
 
 
+def check_budget(epsilon: float, max_length: int) -> None:
+    """Raise ValidationError unless epsilon is finite and positive and
+    max_length is in [1, MAX_SEARCH_LENGTH]."""
+    if not 0 < epsilon < math.inf:
+        raise ValidationError(f"epsilon must be finite and positive, got {epsilon}")
+    if not 1 <= max_length <= MAX_SEARCH_LENGTH:
+        raise ValidationError(
+            f"max_length must be in [1, {MAX_SEARCH_LENGTH}], got {max_length}"
+        )
+
+
 def approximate_rz(
     theta: float, epsilon: float, max_length: int = DEFAULT_MAX_LENGTH
 ) -> ApproxReport:
@@ -174,16 +186,11 @@ def approximate_rz(
     sequence seen anywhere is returned with converged=False.
     """
     theta = float(theta)
+    if not math.isfinite(theta):
+        raise ValidationError(f"theta must be finite, got {theta}")
     epsilon = float(epsilon)
-    if not epsilon > 0:
-        raise ValidationError(f"epsilon must be positive, got {epsilon}")
     max_length = int(max_length)
-    if max_length < 1:
-        raise ValidationError(f"max_length must be >= 1, got {max_length}")
-    if max_length > MAX_SEARCH_LENGTH:
-        raise ValidationError(
-            f"max_length {max_length} exceeds supported cap {MAX_SEARCH_LENGTH}"
-        )
+    check_budget(epsilon, max_length)
 
     target = rz_matrix(theta % (2 * np.pi))
     target_dag = target.conj().T
@@ -206,40 +213,6 @@ def approximate_rz(
             best = (float(d[i]), level, i)
     seq = _TABLE.sequence_at(best[1], best[2])
     return ApproxReport(seq, theta, best[0], best[1], False)
-
-
-def euler_decompose(u: np.ndarray) -> tuple[float, float, float]:
-    """Angles (beta, gamma, delta) with u ~ Rz(beta) H Rz(gamma) H Rz(delta)
-    up to global phase, each angle in (-2*pi, 2*pi]."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
-        raise ValidationError(f"expected a 2x2 matrix, got shape {u.shape}")
-    if np.max(np.abs(u.conj().T @ u - np.eye(2))) > 1e-9:
-        raise ValidationError("matrix is not unitary")
-    det = np.linalg.det(u)
-    v = u / np.sqrt(det)
-    # v = [[e^{-i(b+d)/2} c, -i e^{-i(b-d)/2} s], [-i e^{i(b-d)/2} s, ...]]
-    # with c = cos(gamma/2), s = sin(gamma/2)
-    gamma = 2.0 * np.arctan2(abs(v[1, 0]), abs(v[0, 0]))
-    if abs(v[1, 0]) < 1e-12:
-        beta = -2.0 * np.angle(v[0, 0])
-        delta = 0.0
-    elif abs(v[0, 0]) < 1e-12:
-        beta = 2.0 * np.angle(v[1, 0]) + np.pi
-        delta = 0.0
-    else:
-        ssum = -2.0 * np.angle(v[0, 0])
-        sdiff = 2.0 * np.angle(v[1, 0]) + np.pi
-        beta = (ssum + sdiff) / 2.0
-        delta = (ssum - sdiff) / 2.0
-
-    def wrap(x: float) -> float:
-        y = float((x + 2 * np.pi) % (4 * np.pi) - 2 * np.pi)
-        if y <= -2 * np.pi:
-            y += 4 * np.pi
-        return y
-
-    return wrap(beta), wrap(gamma), wrap(delta)
 
 
 def compile_circuit(

@@ -1,7 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from vdqec.sim import Circuit, gate_matrix
+from vdqec.errors import CampaignError, ValidationError
+from vdqec.inject import FaultSite
+from vdqec.sim import (
+    Circuit,
+    GateOp,
+    gate_matrix,
+    output_distribution,
+    pst,
+    simulate,
+)
 
 
 def embed_gate(num_qubits, qubits, mat):
@@ -38,10 +49,53 @@ def dense_circuit_unitary(circuit: Circuit) -> np.ndarray:
     return u
 
 
-def haar_random_unitary(rng, dim=2):
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    return q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
+def with_faultable(circuit: Circuit, faultable: bool) -> Circuit:
+    """Copy of the circuit with every op's faultable flag overridden."""
+    return replace(
+        circuit, ops=tuple(replace(op, faultable=faultable) for op in circuit.ops)
+    )
+
+
+def inject(circuit: Circuit, site: FaultSite) -> Circuit:
+    """Copy of the circuit with the site's Pauli gates inserted after the
+    faulted gate, at the same timestep."""
+    if not (0 <= site.gate_index < len(circuit.ops)):
+        raise ValidationError(f"gate_index {site.gate_index} out of range")
+    op = circuit.ops[site.gate_index]
+    if len(site.paulis) != len(op.qubits):
+        raise ValidationError(
+            f"site has {len(site.paulis)} Paulis for a {len(op.qubits)}-qubit gate"
+        )
+    extra = tuple(
+        GateOp(p, (q,), (), op.timestep, faultable=False)
+        for p, q in zip(site.paulis, op.qubits)
+        if p != "I"
+    )
+    ops = (
+        circuit.ops[: site.gate_index + 1]
+        + extra
+        + circuit.ops[site.gate_index + 1 :]
+    )
+    return Circuit(circuit.num_qubits, ops, circuit.measured_qubits)
+
+
+def relative_pst_of_injection(
+    circuit: Circuit, site: FaultSite, correct_bitstring: str
+) -> float:
+    """Reference path through inject() + simulate(); the campaign's cached
+    computation must agree with this."""
+    ideal = pst(
+        output_distribution(simulate(circuit), circuit.measured_qubits),
+        correct_bitstring,
+    )
+    noisy_circ = inject(circuit, site)
+    noisy = pst(
+        output_distribution(simulate(noisy_circ), noisy_circ.measured_qubits),
+        correct_bitstring,
+    )
+    if ideal <= 0.0:
+        raise CampaignError("noiseless PST is zero")
+    return noisy / ideal
 
 
 def exact_success_and_multi_mass(circuit, correct, assignment, p, params):

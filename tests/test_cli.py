@@ -1,9 +1,12 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
 from vdqec.cli import main, parse_theta
 from vdqec.errors import ValidationError
+from vdqec.pipeline import RunConfig
 
 QUICK_CONFIG = {
     "synthesis_epsilon": 0.25,
@@ -145,6 +148,79 @@ def test_pipeline_rejects_unknown_config_keys(tmp_path, capsys):
     cfg.write_text(json.dumps({"epsilon": 0.1}))
     assert run("pipeline", "--config", str(cfg), "--out-dir", str(tmp_path / "x")) == 2
     assert "epsilon" in capsys.readouterr().err
+
+
+def test_tts_and_assign_reproduce_the_pipeline_ladder(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"synthesis_epsilon": 0.12, "max_length": 25, "p_points": 25}
+    ))
+    out = tmp_path / "run"
+    assert run("pipeline", "--config", str(cfg), "--out-dir", str(out)) == 0
+    prof = str(out / "profile.json")
+    mine = tmp_path / "mine"
+    mine.mkdir()
+    assert run(
+        "tts", "--profile", prof, "--p-points", "25",
+        "--out-csv", str(mine / "sweep.csv"), "--out-svg", str(mine / "curves.svg"),
+    ) == 0
+    assert run("assign", "--profile", prof, "-o", str(mine / "assignment_d3_5.json")) == 0
+    for name in ("sweep.csv", "curves.svg", "assignment_d3_5.json"):
+        assert (mine / name).read_bytes() == (out / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"counting_qubits": 0},
+    {"counting_qubits": "3"},
+    {"counting_qubits": True},
+    {"phase_den": 0},
+    {"synthesis_epsilon": float("nan")},
+    {"synthesis_epsilon": float("inf")},
+    {"max_length": 0},
+    {"max_length": 35},
+    {"prefactor": 0.0},
+    {"prefactor": float("nan")},
+    {"threshold": -1.0},
+    {"distance_configs": ((4,),)},
+    {"distance_configs": (3,)},
+    {"distance_configs": ((5, 3),)},
+    {"p_min": 0.0},
+    {"p_points": 1},
+    {"tau": 1.5},
+    {"include_resize": 1},
+])
+def test_run_config_rejects_bad_values_at_construction(kwargs):
+    with pytest.raises(ValidationError):
+        RunConfig(**kwargs)
+
+
+CIRCUIT_1Q = {"num_qubits": 1, "measured_qubits": [0]}
+
+
+@pytest.mark.parametrize("doc, argv", [
+    ([1, 2], ["pipeline", "--config", "{in}", "--out-dir", "{out}"]),
+    ({"counting_qubits": "3"}, ["pipeline", "--config", "{in}", "--out-dir", "{out}"]),
+    ({**CIRCUIT_1Q, "ops": [{"kind": "H", "qubits": [0], "timestep": "x"}]},
+     ["simulate", "--circuit", "{in}"]),
+    ({**CIRCUIT_1Q, "ops": [{"kind": "Rz", "qubits": [0], "params": [float("nan")]}]},
+     ["compile", "--circuit", "{in}", "--epsilon", "0.1", "--max-length", "4"]),
+    ({**CIRCUIT_1Q, "ops": [{"kind": k, "qubits": [0], "timestep": 0} for k in "HTH"]},
+     ["inject", "--circuit", "{in}", "--bitstring", "0"]),
+    (None, ["qpe", "-o", "{out}/missing_dir/x.json"]),
+    (None, ["synth", "--theta", "nan", "--epsilon", "0.1"]),
+], ids=["config-list", "config-str-int", "timestep-str", "rz-nan", "shared-cell",
+        "missing-dir", "theta-nan"])
+def test_malformed_input_exits_2_without_traceback(tmp_path, doc, argv):
+    paths = {"in": str(tmp_path / "in.json"), "out": str(tmp_path / "out")}
+    if doc is not None:
+        (tmp_path / "in.json").write_text(json.dumps(doc))
+    result = subprocess.run(
+        [sys.executable, "-m", "vdqec.cli", *(a.format_map(paths) for a in argv)],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error:"), result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_compile_failure_exits_1(tmp_path, capsys):

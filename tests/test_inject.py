@@ -3,14 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from conftest import inject, relative_pst_of_injection, with_faultable
 from vdqec.errors import CampaignError, ValidationError
 from vdqec.inject import (
     FaultSite,
     enumerate_sites,
-    inject,
     profile_from_json,
     profile_to_json,
-    relative_pst_of_injection,
     run_campaign,
 )
 from vdqec.qpe import build_qpe
@@ -19,7 +18,6 @@ from vdqec.sim import (
     GateOp,
     output_distribution,
     simulate,
-    with_faultable,
 )
 
 
@@ -179,6 +177,20 @@ def test_profile_json_roundtrip():
     profile = run_campaign(circuit, correct)
     doc = json.loads(json.dumps(profile_to_json(profile)))
     assert profile_from_json(doc) == profile
+
+
+def test_gates_sharing_a_cell_are_rejected():
+    # the profile keeps one summary per (qubit, timestep) cell, so three
+    # gates at t = 0 would collapse into one cell
+    shared = Circuit(1, tuple(GateOp(k, (0,)) for k in "HTH"), (0,))
+    with pytest.raises(ValidationError, match="timestep 0"):
+        run_campaign(shared, "0")
+    spread = Circuit(1, tuple(GateOp(k, (0,), (), t) for t, k in enumerate("HTH")), (0,))
+    doc = profile_to_json(run_campaign(spread, "0"))
+    for gate in doc["gates"]:
+        gate[3] = 0
+    with pytest.raises(ValidationError, match="timestep 0"):
+        profile_from_json(doc)
 
 
 def test_profile_from_json_rejects_garbage():

@@ -16,7 +16,6 @@ from vdqec.qecc import (
     assignment_from_json,
     assignment_to_json,
     latency,
-    latency_from_profile,
     log_p_grid,
     logical_error_rate,
     pst_bound,
@@ -105,16 +104,16 @@ def test_distance_schedule_lookup():
 def test_latency_uniform_examples():
     ops = tuple(GateOp("H", (0,), (), t) for t in range(10))
     c = Circuit(1, ops, (0,))
-    assert latency(c, uniform_assignment(1, 3)) == 30
-    assert latency(c, uniform_assignment(1, 5)) == 50
+    assert latency(c.ops, uniform_assignment(1, 3)) == 30
+    assert latency(c.ops, uniform_assignment(1, 5)) == 50
 
 
 def test_latency_max_rule_and_resize():
     a = CodeAssignment("mix", 2, (((0, 3),), ((0, 3), (1, 5))))
     c = Circuit(2, (GateOp("CNOT", (0, 1), (), 1),), (0,))
     # gate spans d=3 and d=5 -> 5 cycles, plus one 3->5 resize -> 5 cycles
-    assert latency(c, a, include_resize=True) == 10
-    assert latency(c, a, include_resize=False) == 5
+    assert latency(c.ops, a, include_resize=True) == 10
+    assert latency(c.ops, a, include_resize=False) == 5
 
 
 def test_time_to_solution():
@@ -198,11 +197,11 @@ def test_pst_bound_is_true_lower_bound_on_toy_circuit():
 def test_latency_sandwich():
     circuit, profile = _profile()
     two = assign_two_distance(profile, 3, 5, 0.9)
-    low = latency(circuit, uniform_assignment(6, 3))
-    high = latency(circuit, uniform_assignment(6, 5))
-    mid = latency(circuit, two)
+    low = latency(circuit.ops, uniform_assignment(6, 3))
+    high = latency(circuit.ops, uniform_assignment(6, 5))
+    mid = latency(circuit.ops, two)
     assert low <= mid <= high + two.resize_cost()
-    assert latency_from_profile(profile, two) == mid
+    assert latency(profile.gates, two) == mid
 
 
 def test_sweep_shape_and_order():

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 
+from conftest import with_faultable
 from vdqec.inject import run_campaign
 from vdqec.qecc import log_p_grid, sweep_tts, uniform_assignment
 from vdqec.qpe import build_qpe
@@ -41,8 +42,6 @@ def test_heatmap_csv_uses_crlf():
 
 def test_all_quiet_profile_renders_single_thin_green_width():
     circuit, correct = build_qpe()
-    from vdqec.sim import with_faultable
-
     profile = run_campaign(with_faultable(circuit, False), correct)
     svg = heatmap_svg_bytes(profile).decode()
     widths = set(

@@ -168,6 +168,9 @@ def test_gateop_validation():
         GateOp("Rz", (0,))
     with pytest.raises(InvalidCircuitError):
         GateOp("Q", (0,))
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidCircuitError):
+            GateOp("Rz", (0,), (value,))
 
 
 def test_circuit_validation():

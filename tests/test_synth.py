@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import dense_circuit_unitary, haar_random_unitary
+from conftest import dense_circuit_unitary
 from vdqec.errors import CompileError, ValidationError
-from vdqec.sim import Circuit, GateOp, gate_matrix, rz_matrix
+from vdqec.sim import Circuit, GateOp
 from vdqec.synth import (
     DEFAULT_MAX_LENGTH,
     approximate_rz,
     compile_circuit,
-    dist,
-    euler_decompose,
     is_normal_form,
     sequence_unitary,
 )
@@ -128,40 +126,11 @@ def test_rejects_bad_arguments():
         approximate_rz(1.0, 0.0, 8)
     with pytest.raises(ValidationError):
         approximate_rz(1.0, 0.1, 0)
+    for theta, epsilon in ((np.nan, 0.1), (np.inf, 0.1), (1.0, np.inf)):
+        with pytest.raises(ValidationError):
+            approximate_rz(theta, epsilon, 4)
     with pytest.raises(ValidationError):
         sequence_unitary("HQ")
-
-
-def test_euler_diagonal_case():
-    beta, gamma, delta = euler_decompose(rz_matrix(0.7))
-    assert gamma % (2 * np.pi) == pytest.approx(0.0, abs=1e-9)
-    assert (beta + delta) % (2 * np.pi) == pytest.approx(0.7, abs=1e-9)
-
-
-def reconstruct(beta, gamma, delta):
-    h = gate_matrix("H")
-    return rz_matrix(beta) @ h @ rz_matrix(gamma) @ h @ rz_matrix(delta)
-
-
-# dist squares up rounding error: an overlap off by one ulp (~1e-16) reads
-# as dist ~1e-8, so 1e-7 is the "exact to machine precision" bar here
-def test_euler_hadamard_case():
-    beta, gamma, delta = euler_decompose(gate_matrix("H"))
-    assert dist(reconstruct(beta, gamma, delta), gate_matrix("H")) <= 1e-7
-
-
-def test_euler_haar_random(rng):
-    for _ in range(100):
-        u = haar_random_unitary(rng)
-        beta, gamma, delta = euler_decompose(u)
-        for angle in (beta, gamma, delta):
-            assert -2 * np.pi < angle <= 2 * np.pi
-        assert dist(reconstruct(beta, gamma, delta), u) <= 1e-7
-
-
-def test_euler_rejects_non_unitary():
-    with pytest.raises(ValidationError):
-        euler_decompose(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 def test_compile_passes_clifford_through():

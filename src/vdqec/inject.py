@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CampaignError, ValidationError
+from .errors import CampaignError, ValidationError, as_bool, as_int, as_real
 from .sim import (
     Circuit,
     StateVector,
@@ -229,22 +229,28 @@ def profile_to_json(profile: SensitivityProfile) -> dict:
 def profile_from_json(doc: dict) -> SensitivityProfile:
     try:
         records = tuple(
-            SensitivityRecord(FaultSite(int(gi), tuple(paulis)), float(pn), float(rp))
+            SensitivityRecord(
+                FaultSite(as_int(gi, "gate index"), tuple(paulis)),
+                as_real(pn, "pst_noisy"), as_real(rp, "relative_pst"),
+            )
             for gi, paulis, pn, rp in doc["records"]
         )
         gates = tuple(
             GateSummary(
-                int(gi), kind, tuple(qubits), int(ts), bool(f),
-                float(mean), float(mn), int(nr),
+                as_int(gi, "gate index"), kind,
+                tuple(as_int(q, "qubit") for q in qubits),
+                as_int(ts, "timestep"), as_bool(f, "faultable"),
+                as_real(mean, "mean_relative_pst"),
+                as_real(mn, "min_relative_pst"), as_int(nr, "n_records"),
             )
             for gi, kind, qubits, ts, f, mean, mn, nr in doc["gates"]
         )
         _check_distinct_cells(gates)
         return SensitivityProfile(
             circuit_digest=doc["circuit_digest"],
-            num_qubits=int(doc["num_qubits"]),
+            num_qubits=as_int(doc["num_qubits"], "num_qubits"),
             mode=doc["mode"],
-            pst_ideal=float(doc["pst_ideal"]),
+            pst_ideal=as_real(doc["pst_ideal"], "pst_ideal"),
             records=records,
             gates=gates,
         )

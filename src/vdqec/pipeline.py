@@ -14,7 +14,7 @@ import json
 import os
 from dataclasses import asdict, dataclass, fields
 
-from .errors import ValidationError, VdqecError
+from .errors import ValidationError, VdqecError, as_bool, as_int, as_real
 from .inject import MODES, profile_to_json, run_campaign
 from .qecc import (
     ErrorModelParams,
@@ -37,8 +37,8 @@ from .synth import DEFAULT_MAX_LENGTH, check_budget, compile_circuit
 
 SCHEMA_VERSION = 1
 
-# RunConfig annotation -> accepted types; bools are not numbers here
-_FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
+# RunConfig annotation -> type check; bools are not numbers here
+_FIELD_CHECKS = {"int": as_int, "float": as_real, "bool": as_bool}
 
 
 @contextlib.contextmanager
@@ -73,13 +73,8 @@ class RunConfig:
     def __post_init__(self):
         """Check every field, so a bad config fails before any stage runs."""
         for f in fields(self):
-            value = getattr(self, f.name)
-            want = _FIELD_TYPES.get(f.type)
-            if want and (
-                isinstance(value, bool) != (f.type == "bool")
-                or not isinstance(value, want)
-            ):
-                raise ValidationError(f"{f.name} must be {f.type}, got {value!r}")
+            if f.type in _FIELD_CHECKS:
+                _FIELD_CHECKS[f.type](getattr(self, f.name), f.name)
         if self.injection_mode not in MODES:
             raise ValidationError(
                 f"injection_mode must be one of {MODES}"

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssignmentError, ValidationError
+from .errors import AssignmentError, ValidationError, as_int
 from .inject import SensitivityProfile
 
 INFINITE_TTS = math.inf
@@ -265,11 +265,17 @@ class TtsPoint:
     tts: float
 
 
+# at ~0.15 ms per pst_bound call, 10,000 points cost ~1.5 s per config
+MAX_GRID_POINTS = 10_000
+
+
 def log_p_grid(p_min: float, p_max: float, points: int) -> np.ndarray:
     if not (0.0 < p_min < p_max < 1.0):
         raise ValidationError("need 0 < p_min < p_max < 1")
-    if points < 2:
-        raise ValidationError("grid needs at least 2 points")
+    if not 2 <= points <= MAX_GRID_POINTS:
+        raise ValidationError(
+            f"grid needs 2 to {MAX_GRID_POINTS} points, got {points}"
+        )
     return np.logspace(np.log10(p_min), np.log10(p_max), points)
 
 
@@ -313,9 +319,12 @@ def assignment_from_json(doc: dict) -> CodeAssignment:
     try:
         return CodeAssignment(
             label=doc["label"],
-            num_qubits=int(doc["num_qubits"]),
+            num_qubits=as_int(doc["num_qubits"], "num_qubits"),
             schedules=tuple(
-                tuple((int(s), int(d)) for s, d in segs)
+                tuple(
+                    (as_int(s, "segment start"), as_int(d, "distance"))
+                    for s, d in segs
+                )
                 for segs in doc["schedules"]
             ),
         )

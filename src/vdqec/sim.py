@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidCircuitError, ValidationError
+from .errors import InvalidCircuitError, ValidationError, as_bool, as_int, as_real
 
 SQRT2 = np.sqrt(2.0)
 
@@ -93,8 +93,14 @@ class GateOp:
     faultable: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        object.__setattr__(
+            self, "qubits", tuple(as_int(q, "qubit") for q in self.qubits)
+        )
+        object.__setattr__(
+            self, "params", tuple(as_real(p, "parameter") for p in self.params)
+        )
+        as_int(self.timestep, "timestep")
+        as_bool(self.faultable, "faultable")
         if self.kind not in GATE_SIGNATURES:
             raise InvalidCircuitError(f"unknown gate kind {self.kind!r}")
         arity, nparams = GATE_SIGNATURES[self.kind]
@@ -129,9 +135,10 @@ class Circuit:
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
         object.__setattr__(
-            self, "measured_qubits", tuple(int(q) for q in self.measured_qubits)
+            self, "measured_qubits",
+            tuple(as_int(q, "measured qubit") for q in self.measured_qubits),
         )
-        n = self.num_qubits
+        n = as_int(self.num_qubits, "num_qubits")
         if not (1 <= n <= MAX_QUBITS):
             raise InvalidCircuitError(
                 f"num_qubits must be in [1, {MAX_QUBITS}], got {n}"
@@ -287,13 +294,13 @@ def circuit_from_json(doc: dict) -> Circuit:
                 kind=o["kind"],
                 qubits=tuple(o["qubits"]),
                 params=tuple(o.get("params") or ()),
-                timestep=int(o.get("timestep", i)),
-                faultable=bool(o.get("faultable", True)),
+                timestep=o.get("timestep", i),
+                faultable=o.get("faultable", True),
             )
             for i, o in enumerate(doc["ops"])
         )
         return Circuit(
-            num_qubits=int(doc["num_qubits"]),
+            num_qubits=doc["num_qubits"],
             ops=ops,
             measured_qubits=tuple(doc["measured_qubits"]),
         )

@@ -1,12 +1,19 @@
+import copy
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vdqec.cli import main, parse_theta
 from vdqec.errors import ValidationError
-from vdqec.pipeline import RunConfig
+from vdqec.inject import profile_from_json
+from vdqec.pipeline import RunConfig, config_from_json
+from vdqec.qecc import assignment_from_json
+from vdqec.sim import circuit_from_json
 
 QUICK_CONFIG = {
     "synthesis_epsilon": 0.25,
@@ -25,8 +32,6 @@ def read_json(path):
 
 
 def test_parse_theta_forms():
-    import math
-
     assert parse_theta("0.5") == 0.5
     assert parse_theta("pi/3") == pytest.approx(math.pi / 3)
     assert parse_theta("-pi/4") == pytest.approx(-math.pi / 4)
@@ -188,6 +193,8 @@ def test_tts_and_assign_reproduce_the_pipeline_ladder(tmp_path):
     {"p_points": 1},
     {"tau": 1.5},
     {"include_resize": 1},
+    {"p_points": 10**7},
+    {"prefactor": 10**400},
 ])
 def test_run_config_rejects_bad_values_at_construction(kwargs):
     with pytest.raises(ValidationError):
@@ -195,6 +202,10 @@ def test_run_config_rejects_bad_values_at_construction(kwargs):
 
 
 CIRCUIT_1Q = {"num_qubits": 1, "measured_qubits": [0]}
+PROFILE_1Q = {
+    "circuit_digest": "0" * 64, "num_qubits": 1, "mode": "mirrored",
+    "pst_ideal": 1.0, "records": [], "gates": [],
+}
 
 
 @pytest.mark.parametrize("doc, argv", [
@@ -208,8 +219,19 @@ CIRCUIT_1Q = {"num_qubits": 1, "measured_qubits": [0]}
      ["inject", "--circuit", "{in}", "--bitstring", "0"]),
     (None, ["qpe", "-o", "{out}/missing_dir/x.json"]),
     (None, ["synth", "--theta", "nan", "--epsilon", "0.1"]),
+    ({**CIRCUIT_1Q, "ops": [{"kind": "X", "qubits": [0.9]}]},
+     ["simulate", "--circuit", "{in}"]),
+    ({**CIRCUIT_1Q, "num_qubits": 1.7, "ops": []}, ["simulate", "--circuit", "{in}"]),
+    ({**CIRCUIT_1Q, "ops": [{"kind": "X", "qubits": [0], "faultable": "false"}]},
+     ["simulate", "--circuit", "{in}"]),
+    ({**CIRCUIT_1Q, "ops": [{"kind": "H", "qubits": [0], "timestep": float("inf")}]},
+     ["simulate", "--circuit", "{in}"]),
+    ({**PROFILE_1Q, "gates": [[0, "H", [0], float("inf"), True, 1.0, 1.0, 0]]},
+     ["assign", "--profile", "{in}"]),
+    ({**PROFILE_1Q, "records": [[2.5, "X", 0.5, 0.5]]}, ["assign", "--profile", "{in}"]),
 ], ids=["config-list", "config-str-int", "timestep-str", "rz-nan", "shared-cell",
-        "missing-dir", "theta-nan"])
+        "missing-dir", "theta-nan", "qubit-float", "num-qubits-float",
+        "faultable-str", "timestep-inf", "profile-timestep-inf", "record-index-float"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, doc, argv):
     paths = {"in": str(tmp_path / "in.json"), "out": str(tmp_path / "out")}
     if doc is not None:
@@ -221,6 +243,82 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, doc, argv):
     assert result.returncode == 2, result.stderr
     assert result.stderr.startswith("error:"), result.stderr
     assert "Traceback" not in result.stderr
+
+
+# one valid document per loader; the property below mutates them
+LOADER_DOCS = {
+    circuit_from_json: {
+        "num_qubits": 2, "measured_qubits": [0, 1], "ops": [
+            {"kind": "H", "qubits": [0], "params": [], "timestep": 0, "faultable": True},
+            {"kind": "Rz", "qubits": [1], "params": [0.5], "timestep": 1},
+            {"kind": "CNOT", "qubits": [0, 1], "timestep": 2, "faultable": False},
+        ],
+    },
+    profile_from_json: {
+        **PROFILE_1Q, "num_qubits": 2,
+        "records": [[0, "X", 0.5, 0.5], [1, "ZZ", 0.25, 0.25]],
+        "gates": [[0, "H", [0], 0, True, 0.5, 0.5, 1],
+                  [1, "CNOT", [0, 1], 1, True, 0.25, 0.25, 1]],
+    },
+    assignment_from_json: {
+        "label": "d=3,5", "num_qubits": 2, "schedules": [[[0, 3], [2, 5]], [[0, 3]]],
+    },
+    config_from_json: {
+        "schema_version": 1, "counting_qubits": 3, "synthesis_epsilon": 0.1,
+        "max_length": 10, "injection_mode": "mirrored", "distance_configs": [[3], [3, 5]],
+        "p_points": 5, "tau": 0.5, "include_resize": True,
+    },
+}
+
+# the bools, strings, non-finite floats and ints beyond float range that a
+# loader must refuse rather than coerce, plus arbitrary JSON values
+TRICKY_SCALARS = st.sampled_from(
+    [True, False, None, "", "1", "false", 0.9, 2.5, -1, 10**400,
+     math.inf, -math.inf, math.nan]
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def _leaves(node, prefix=()):
+    """Path to every scalar of a JSON document."""
+    if not isinstance(node, (dict, list)):
+        yield prefix
+        return
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+        yield from _leaves(child, prefix + (key,))
+
+
+@st.composite
+def mutated(draw, base):
+    """base with one or two scalars replaced by a JSON value, or removed."""
+    doc = copy.deepcopy(base)
+    for _ in range(draw(st.integers(1, 2))):
+        *head, last = draw(st.sampled_from(list(_leaves(doc))))
+        parent = doc
+        for key in head:
+            parent = parent[key]
+        action = draw(st.sampled_from(["scalar", "scalar", "value", "remove"]))
+        if action == "remove":
+            del parent[last]
+        else:
+            parent[last] = draw(TRICKY_SCALARS if action == "scalar" else JSON_VALUES)
+    return doc
+
+
+@pytest.mark.parametrize("loader", list(LOADER_DOCS), ids=lambda f: f.__name__)
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_loaders_load_or_raise_validation_error(loader, data):
+    doc = data.draw(mutated(LOADER_DOCS[loader]))
+    try:
+        loader(doc)
+    except ValidationError:
+        pass
 
 
 def test_compile_failure_exits_1(tmp_path, capsys):

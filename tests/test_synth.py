@@ -4,6 +4,7 @@ import pytest
 from conftest import dense_circuit_unitary
 from vdqec.errors import CompileError, ValidationError
 from vdqec.sim import Circuit, GateOp
+from vdqec import synth
 from vdqec.synth import (
     DEFAULT_MAX_LENGTH,
     approximate_rz,
@@ -54,6 +55,46 @@ def oracle_search(theta, epsilon, max_length):
             if not w or (w[-1], c) not in ORACLE_FORBIDDEN
         ]
     return best[1], best[0], False
+
+
+def oracle_rotation_key(u):
+    """u up to global phase: scaled so its first nonzero entry is real and
+    positive, then rounded."""
+    flat = u.ravel()
+    first = flat[np.argmax(np.abs(flat) > 1e-9)]
+    v = flat * abs(first) / first
+    return tuple(np.round(np.concatenate([v.real, v.imag]) * 1e6).astype(int))
+
+
+# sizes of search-table levels 0-20, pinned so that a change to the table's
+# dedup cannot move them silently
+TABLE_LEVEL_SIZES = [
+    1, 6, 17, 34, 40, 62, 84, 132, 160, 248, 336,
+    528, 640, 992, 1344, 2112, 2560, 3968, 5376, 8448, 10240,
+]
+
+
+def test_table_level_sizes_are_locked():
+    synth._TABLE.ensure_length(20)
+    sizes = [len(level[0]) for level in synth._TABLE.levels[:21]]
+    assert sizes == TABLE_LEVEL_SIZES
+
+
+def test_table_levels_match_plain_enumeration():
+    """Level L holds one entry per rotation that a normal-form word of
+    length L reaches and no shorter word does."""
+    seen = set()
+    words = [("", np.eye(2, dtype=complex))]
+    for length in range(7):
+        new = {oracle_rotation_key(u) for _, u in words} - seen
+        seen |= new
+        assert len(new) == TABLE_LEVEL_SIZES[length], length
+        words = [
+            (w + c, ORACLE_MATS[c] @ u)
+            for w, u in words
+            for c in ORACLE_ORDER
+            if not w or (w[-1], c) not in ORACLE_FORBIDDEN
+        ]
 
 
 def test_s_is_quarter_rotation():

@@ -54,16 +54,13 @@ _THETA_RE = re.compile(r"^\s*(-?\d*\.?\d*)\s*\*?\s*pi\s*(?:/\s*(\d+\.?\d*))?\s*$
 def parse_theta(text: str) -> float:
     """Accepts plain floats plus forms like 'pi/3', '-pi/4', '5pi/32'."""
     m = _THETA_RE.match(text)
-    if m:
-        num = m.group(1)
-        factor = float(num) if num not in ("", "-") else (-1.0 if num == "-" else 1.0)
-        theta = factor * math.pi
-        if m.group(2):
-            theta /= float(m.group(2))
-        return theta
     try:
-        return float(text)
-    except ValueError:
+        if not m:
+            return float(text)
+        num, den = m.groups()
+        factor = -1.0 if num == "-" else 1.0 if num == "" else float(num)
+        return factor * math.pi / (float(den) if den else 1.0)
+    except (ValueError, ZeroDivisionError):
         raise ValidationError(f"cannot parse angle {text!r}") from None
 
 
@@ -167,10 +164,6 @@ def cmd_inject(args) -> int:
     mode = "full-depolarizing" if args.mode == "full" else args.mode
     profile = run_campaign(circuit, bitstring, mode)
     _emit(_json_bytes(profile_to_json(profile)), args.output)
-    if args.out_csv:
-        write_atomic(args.out_csv, heatmap_csv_bytes(profile))
-    if args.out_svg:
-        write_atomic(args.out_svg, heatmap_svg_bytes(profile))
     return 0
 
 
@@ -213,9 +206,6 @@ def cmd_pipeline(args) -> int:
         config = RunConfig()
     run_pipeline(config, args.out_dir)
     return 0
-
-
-_THREADS_HELP = "accepted and ignored: the campaign runs in one thread"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,10 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--circuit", required=True)
     p.add_argument("--bitstring", default=None)
     p.add_argument("--mode", choices=list(MODES) + ["full"], default="mirrored")
-    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     p.add_argument("-o", "--output", default=None)
-    p.add_argument("--out-csv", default=None)
-    p.add_argument("--out-svg", default=None)
     p.set_defaults(func=cmd_inject)
 
     p = sub.add_parser("heatmap", help="render a profile as CSV and SVG")
@@ -304,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="run every stage into a directory")
     p.add_argument("--config", default=None, help="RunConfig JSON file")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted and ignored: the campaign runs in one thread")
     p.set_defaults(func=cmd_pipeline)
 
     return parser

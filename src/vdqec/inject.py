@@ -20,15 +20,18 @@ one qubit at one timestep are rejected.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CampaignError, ValidationError, as_bool, as_int, as_real
 from .sim import (
+    GATE_SIGNATURES,
+    MAX_QUBITS,
     Circuit,
     StateVector,
-    _apply_1q,
+    _apply,
     _apply_op,
     circuit_digest,
     gate_matrix,
@@ -38,6 +41,12 @@ from .sim import (
 )
 
 MODES = ("mirrored", "full-depolarizing")
+
+# how far a loaded profile's derived numbers may sit from the values
+# recomputed from its records (the floats were rounded once already)
+_TOL = 1e-12
+# (mean, min, count) reported for a gate without records
+_NO_RECORDS = (1.0, 1.0, 0)
 
 
 @dataclass(frozen=True)
@@ -133,23 +142,29 @@ def _site_pst(circuit: Circuit, prefixes, site: FaultSite, correct: str) -> floa
     amps = prefixes[site.gate_index]
     for p, q in zip(site.paulis, circuit.ops[site.gate_index].qubits):
         if p != "I":
-            amps = _apply_1q(amps, n, q, gate_matrix(p))
+            amps = _apply(amps, n, (q,), gate_matrix(p))
     for op in circuit.ops[site.gate_index + 1 :]:
         amps = _apply_op(amps, n, op)
     dist = output_distribution(StateVector(n, amps), circuit.measured_qubits)
     return pst(dist, correct)
 
 
+def _gate_stats(records) -> dict[int, tuple[float, float, int]]:
+    """gate index -> (mean, min, count) of the relative PST of its records."""
+    by_gate: dict[int, list[float]] = {}
+    for rec in records:
+        by_gate.setdefault(rec.site.gate_index, []).append(rec.relative_pst)
+    return {
+        i: (float(np.mean(v)), float(np.min(v)), len(v)) for i, v in by_gate.items()
+    }
+
+
 def run_campaign(
     circuit: Circuit,
     correct_bitstring: str,
     mode: str = "mirrored",
-    threads: int = 1,
 ) -> SensitivityProfile:
-    """Simulate every fault site exactly and aggregate the results.
-
-    The campaign runs in this thread; `threads` is accepted and ignored.
-    """
+    """Simulate every fault site exactly and aggregate the results."""
     if not circuit.ops:
         raise CampaignError("circuit has no gates to inject into")
     _check_distinct_cells(circuit.ops)
@@ -174,20 +189,10 @@ def run_campaign(
         for site, p_noisy in zip(sites, noisy)
     )
 
-    by_gate: dict[int, list[float]] = {}
-    for rec in records:
-        by_gate.setdefault(rec.site.gate_index, []).append(rec.relative_pst)
+    stats = _gate_stats(records)
     gates = tuple(
-        GateSummary(
-            gate_index=i,
-            kind=op.kind,
-            qubits=op.qubits,
-            timestep=op.timestep,
-            faultable=op.faultable,
-            mean_relative_pst=float(np.mean(by_gate[i])) if i in by_gate else 1.0,
-            min_relative_pst=float(np.min(by_gate[i])) if i in by_gate else 1.0,
-            n_records=len(by_gate.get(i, ())),
-        )
+        GateSummary(i, op.kind, op.qubits, op.timestep, op.faultable,
+                    *stats.get(i, _NO_RECORDS))
         for i, op in enumerate(circuit.ops)
     )
     return SensitivityProfile(
@@ -246,7 +251,7 @@ def profile_from_json(doc: dict) -> SensitivityProfile:
             for gi, kind, qubits, ts, f, mean, mn, nr in doc["gates"]
         )
         _check_distinct_cells(gates)
-        return SensitivityProfile(
+        profile = SensitivityProfile(
             circuit_digest=doc["circuit_digest"],
             num_qubits=as_int(doc["num_qubits"], "num_qubits"),
             mode=doc["mode"],
@@ -254,5 +259,52 @@ def profile_from_json(doc: dict) -> SensitivityProfile:
             records=records,
             gates=gates,
         )
+        _check_consistent(profile)
+        return profile
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed profile document: {exc}") from exc
+
+
+def _check_consistent(profile: SensitivityProfile) -> None:
+    """Raise ValidationError unless the profile's fields agree with each
+    other the way run_campaign writes them."""
+
+    def bad(what):
+        raise ValidationError(f"inconsistent profile: {what}")
+
+    def close(a, b):
+        return abs(a - b) <= _TOL  # False for NaN
+
+    n, gates = profile.num_qubits, profile.gates
+    if profile.mode not in MODES:
+        bad(f"mode must be one of {MODES}, got {profile.mode!r}")
+    if not (isinstance(profile.circuit_digest, str)
+            and re.fullmatch("[0-9a-f]{64}", profile.circuit_digest)):
+        bad(f"circuit_digest must be 64 hex characters, got {profile.circuit_digest!r}")
+    if not 1 <= n <= MAX_QUBITS:
+        bad(f"num_qubits must be in [1, {MAX_QUBITS}], got {n}")
+    if not 0 < profile.pst_ideal <= 1 + _TOL:
+        bad(f"pst_ideal must be in (0, 1], got {profile.pst_ideal}")
+    for i, g in enumerate(gates):
+        if g.gate_index != i:
+            bad(f"gate {i} has gate index {g.gate_index}")
+        if GATE_SIGNATURES.get(g.kind, (None,))[0] != len(g.qubits):
+            bad(f"gate {i}: {g.kind!r} on {len(g.qubits)} qubit(s)")
+        if any(not 0 <= q < n for q in g.qubits):
+            bad(f"gate {i} touches a qubit outside [0, {n}): {g.qubits}")
+    for rec in profile.records:
+        i = rec.site.gate_index
+        if not (0 <= i < len(gates) and gates[i].faultable):
+            bad(f"record on gate {i}, which is not a faultable gate")
+        if len(rec.site.paulis) != len(gates[i].qubits):
+            bad(f"record {''.join(rec.site.paulis)!r} on a {len(gates[i].qubits)}-qubit gate")
+        if not 0 <= rec.pst_noisy <= 1 + _TOL:
+            bad(f"pst_noisy {rec.pst_noisy} is not a probability")
+        if not close(rec.relative_pst, rec.pst_noisy / profile.pst_ideal):
+            bad(f"relative_pst {rec.relative_pst} is not pst_noisy / pst_ideal")
+    stats = _gate_stats(profile.records)
+    for g in gates:
+        mean, low, count = stats.get(g.gate_index, _NO_RECORDS)
+        if not (close(g.mean_relative_pst, mean) and close(g.min_relative_pst, low)
+                and g.n_records == count):
+            bad(f"the summary of gate {g.gate_index} does not match its records")

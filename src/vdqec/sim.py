@@ -187,27 +187,21 @@ def zero_state(num_qubits: int) -> StateVector:
     return StateVector(num_qubits, amps)
 
 
-def _apply_1q(amps: np.ndarray, n: int, q: int, mat: np.ndarray) -> np.ndarray:
-    psi = amps.reshape([2] * n)
-    ax = n - 1 - q
-    psi = np.moveaxis(psi, ax, 0)
-    psi = np.tensordot(mat, psi, axes=([1], [0]))
-    return np.moveaxis(psi, 0, ax).reshape(-1)
-
-
-def _apply_2q(amps: np.ndarray, n: int, q1: int, q2: int, mat: np.ndarray) -> np.ndarray:
-    psi = amps.reshape([2] * n)
-    a1, a2 = n - 1 - q1, n - 1 - q2
-    psi = np.moveaxis(psi, (a1, a2), (0, 1))
-    psi = np.tensordot(mat.reshape(2, 2, 2, 2), psi, axes=([2, 3], [0, 1]))
-    return np.moveaxis(psi, (0, 1), (a1, a2)).reshape(-1)
+def _apply(amps: np.ndarray, n: int, qubits: tuple[int, ...], mat: np.ndarray) -> np.ndarray:
+    """Apply a 2^k x 2^k matrix to the k target qubits (first qubit is the
+    most significant bit of the matrix index)."""
+    k = len(qubits)
+    targets = [n - 1 - q for q in qubits]
+    # target axes first, the others in order: the views np.moveaxis builds,
+    # without its argument checks (about 4 us a call with numpy 2.4)
+    order = targets + [a for a in range(n) if a not in targets]
+    psi = amps.reshape([2] * n).transpose(order)
+    psi = np.tensordot(mat.reshape([2] * (2 * k)), psi, axes=(range(k, 2 * k), range(k)))
+    return psi.transpose(np.argsort(order)).reshape(-1)
 
 
 def _apply_op(amps: np.ndarray, n: int, op: GateOp) -> np.ndarray:
-    mat = gate_matrix(op.kind, op.params)
-    if len(op.qubits) == 1:
-        return _apply_1q(amps, n, op.qubits[0], mat)
-    return _apply_2q(amps, n, op.qubits[0], op.qubits[1], mat)
+    return _apply(amps, n, op.qubits, gate_matrix(op.kind, op.params))
 
 
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:

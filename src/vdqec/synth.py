@@ -28,7 +28,6 @@ from .sim import Circuit, GateOp, gate_matrix, rz_matrix
 
 SYMBOLS = "XHSsTt"
 KIND_OF_SYMBOL = {"X": "X", "H": "H", "S": "S", "s": "Sdg", "T": "T", "t": "Tdg"}
-SYMBOL_OF_KIND = {v: k for k, v in KIND_OF_SYMBOL.items()}
 
 _MATS = np.stack([gate_matrix(KIND_OF_SYMBOL[c]) for c in SYMBOLS])
 
@@ -127,18 +126,18 @@ class _SearchTable:
 
     def _grow(self) -> None:
         parents, last, _ = self.levels[-1]
-        children = np.einsum("kab,nbc->nkac", _MATS, parents).reshape(-1, 2, 2)
         idx = np.flatnonzero(self._allowed[last])
+        children = np.einsum("kab,nbc->nkac", _MATS, parents).reshape(-1, 2, 2)[idx]
         # children come in (parent, symbol) order, which is lexicographic, so
         # the first unseen key is the least witness of a new rotation
         keep = np.zeros(len(idx), dtype=bool)
-        for i, key in enumerate(_bloch_keys(children[idx])):
+        for i, key in enumerate(_bloch_keys(children)):
             kb = key.tobytes()
             if kb not in self._seen:
                 self._seen.add(kb)
                 keep[i] = True
         parent_idx, sym_idx = np.divmod(idx[keep], 6)
-        self.levels.append((children[idx[keep]], sym_idx, parent_idx))
+        self.levels.append((children[keep], sym_idx, parent_idx))
 
     def sequence_at(self, level: int, index: int) -> str:
         out = []

@@ -1,6 +1,9 @@
 import copy
+import hashlib
 import json
 import math
+import re
+import statistics
 import subprocess
 import sys
 
@@ -11,9 +14,9 @@ from hypothesis import strategies as st
 from vdqec.cli import main, parse_theta
 from vdqec.errors import ValidationError
 from vdqec.inject import profile_from_json
-from vdqec.pipeline import RunConfig, config_from_json
+from vdqec.pipeline import RunConfig, config_from_json, run_pipeline
 from vdqec.qecc import assignment_from_json
-from vdqec.sim import circuit_from_json
+from vdqec.sim import GATE_SIGNATURES, MAX_QUBITS, circuit_from_json
 
 QUICK_CONFIG = {
     "synthesis_epsilon": 0.25,
@@ -148,6 +151,18 @@ def test_pipeline_writes_all_artifacts(tmp_path):
     assert set(manifest["artifacts"]) == names - {"manifest.json"}
 
 
+# sha256 of manifest.json for the criterion-9 config; a change that moves
+# artifact bytes on purpose updates it and records why
+CRITERION_9_CONFIG = {"synthesis_epsilon": 0.12, "max_length": 25, "p_points": 25}
+CRITERION_9_MANIFEST = "db174dea5993ac5e0c198c9161cb4e642ca9081e955ad63ef2be0d5fefecbcd0"
+
+
+def test_pipeline_manifest_is_locked(tmp_path):
+    run_pipeline(config_from_json(CRITERION_9_CONFIG), str(tmp_path))
+    manifest = (tmp_path / "manifest.json").read_bytes()
+    assert hashlib.sha256(manifest).hexdigest() == CRITERION_9_MANIFEST
+
+
 def test_pipeline_rejects_unknown_config_keys(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"epsilon": 0.1}))
@@ -229,9 +244,20 @@ PROFILE_1Q = {
     ({**PROFILE_1Q, "gates": [[0, "H", [0], float("inf"), True, 1.0, 1.0, 0]]},
      ["assign", "--profile", "{in}"]),
     ({**PROFILE_1Q, "records": [[2.5, "X", 0.5, 0.5]]}, ["assign", "--profile", "{in}"]),
+    (None, ["synth", "--theta=pi/0", "--epsilon", "0.1"]),
+    (None, ["synth", "--theta=.pi", "--epsilon", "0.1"]),
+    (None, ["synth", "--theta=-.pi", "--epsilon", "0.1"]),
+    ({**PROFILE_1Q, "mode": ["x"], "circuit_digest": 12,
+      "gates": [[0, 7, [0], 0, True, 1.0, 1.0, 0]]},
+     ["heatmap", "--profile", "{in}", "--out-csv", "{out}.csv", "--out-svg", "{out}.svg"]),
+    ({**PROFILE_1Q, "pst_ideal": 5.0, "records": [[0, "XYZ", 0.5, 0.1]],
+      "gates": [[0, "H", [3], 0, True, 0.1, 0.1, 1]]},
+     ["assign", "--profile", "{in}"]),
 ], ids=["config-list", "config-str-int", "timestep-str", "rz-nan", "shared-cell",
         "missing-dir", "theta-nan", "qubit-float", "num-qubits-float",
-        "faultable-str", "timestep-inf", "profile-timestep-inf", "record-index-float"])
+        "faultable-str", "timestep-inf", "profile-timestep-inf", "record-index-float",
+        "theta-pi-over-0", "theta-dot-pi", "theta-minus-dot-pi",
+        "profile-mode-digest-kind", "profile-qubit-record-pst"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, doc, argv):
     paths = {"in": str(tmp_path / "in.json"), "out": str(tmp_path / "out")}
     if doc is not None:
@@ -316,9 +342,33 @@ def mutated(draw, base):
 def test_loaders_load_or_raise_validation_error(loader, data):
     doc = data.draw(mutated(LOADER_DOCS[loader]))
     try:
-        loader(doc)
+        loaded = loader(doc)
     except ValidationError:
-        pass
+        return
+    if loader is profile_from_json:
+        assert_profile_makes_sense(loaded)
+
+
+def assert_profile_makes_sense(profile):
+    """What a loaded profile must satisfy, recomputed from its own fields."""
+    n, gates = profile.num_qubits, profile.gates
+    assert profile.mode in ("mirrored", "full-depolarizing")
+    assert re.fullmatch("[0-9a-f]{64}", profile.circuit_digest)
+    assert 1 <= n <= MAX_QUBITS
+    assert 0 < profile.pst_ideal <= 1 + 1e-12
+    for r in profile.records:
+        gate = gates[r.site.gate_index]
+        assert gate.faultable and len(r.site.paulis) == len(gate.qubits)
+        assert 0 <= r.pst_noisy <= 1 + 1e-12
+        assert abs(r.relative_pst - r.pst_noisy / profile.pst_ideal) <= 1e-12
+    for i, g in enumerate(gates):
+        assert g.gate_index == i
+        assert GATE_SIGNATURES[g.kind][0] == len(g.qubits)
+        assert all(0 <= q < n for q in g.qubits)
+        rel = [r.relative_pst for r in profile.records if r.site.gate_index == i]
+        assert g.n_records == len(rel)
+        assert abs(g.mean_relative_pst - (statistics.fmean(rel) if rel else 1.0)) <= 1e-12
+        assert abs(g.min_relative_pst - min(rel, default=1.0)) <= 1e-12
 
 
 def test_compile_failure_exits_1(tmp_path, capsys):

@@ -18,6 +18,7 @@ from .errors import StaleCacheError, ValidationError, VdqecError
 from .inject import MODES, profile_from_json, profile_to_json, run_campaign
 from .pipeline import (
     RunConfig,
+    circuit_bytes,
     config_from_json,
     run_pipeline,
     write_atomic,
@@ -25,7 +26,6 @@ from .pipeline import (
 )
 from .qecc import (
     ErrorModelParams,
-    assign_two_distance,
     assignment_to_json,
     ladder,
     log_p_grid,
@@ -41,12 +41,11 @@ from .render import (
 from .sim import (
     circuit_digest,
     circuit_from_json,
-    circuit_to_json,
     output_distribution,
     pst,
     simulate,
 )
-from .synth import DEFAULT_MAX_LENGTH, approximate_rz, compile_circuit
+from .synth import approximate_rz, compile_circuit
 
 _THETA_RE = re.compile(r"^\s*(-?\d*\.?\d*)\s*\*?\s*pi\s*(?:/\s*(\d+\.?\d*))?\s*$")
 
@@ -112,8 +111,7 @@ def cmd_qpe(args) -> int:
     circuit, correct = build_qpe(spec)
     if args.compile is not None:
         circuit = compile_circuit(circuit, args.compile, args.max_length)
-    doc = {"circuit": circuit_to_json(circuit), "correct_bitstring": correct}
-    _emit(_json_bytes(doc), args.output)
+    _emit(circuit_bytes(circuit, correct), args.output)
     return 0
 
 
@@ -133,10 +131,7 @@ def cmd_synth(args) -> int:
 def cmd_compile(args) -> int:
     circuit, correct = _read_circuit(args.circuit)
     compiled = compile_circuit(circuit, args.epsilon, args.max_length)
-    doc = {"circuit": circuit_to_json(compiled)}
-    if correct is not None:
-        doc["correct_bitstring"] = correct
-    _emit(_json_bytes(doc), args.output)
+    _emit(circuit_bytes(compiled, correct), args.output)
     return 0
 
 
@@ -144,7 +139,7 @@ def cmd_simulate(args) -> int:
     circuit, correct = _read_circuit(args.circuit)
     state = simulate(circuit)
     dist = output_distribution(state, circuit.measured_qubits)
-    doc = {"distribution": {k: dist[k] for k in sorted(dist)}}
+    doc = {"distribution": dist}
     bitstring = args.bitstring or correct
     if bitstring is not None:
         doc["pst"] = pst(dist, bitstring)
@@ -176,7 +171,7 @@ def cmd_heatmap(args) -> int:
 
 def cmd_assign(args) -> int:
     profile = _read_profile(args.profile, args.circuit)
-    assignment = assign_two_distance(profile, args.d_low, args.d_high, args.tau)
+    (assignment,) = ladder(profile, [(args.d_low, args.d_high)], args.tau)
     _emit(_json_bytes(assignment_to_json(assignment)), args.output)
     return 0
 
@@ -218,26 +213,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("qpe", help="emit the phase estimation benchmark circuit")
-    p.add_argument("--counting", type=int, default=5)
-    p.add_argument("--phase-num", type=int, default=5)
-    p.add_argument("--phase-den", type=int, default=32)
+    p.add_argument("--counting", type=int, default=RunConfig.counting_qubits)
+    p.add_argument("--phase-num", type=int, default=RunConfig.phase_num)
+    p.add_argument("--phase-den", type=int, default=RunConfig.phase_den)
     p.add_argument("--compile", type=float, default=None, metavar="EPS",
                    help="also compile rotations to Clifford+T at this accuracy")
-    p.add_argument("--max-length", type=int, default=DEFAULT_MAX_LENGTH)
+    p.add_argument("--max-length", type=int, default=RunConfig.max_length)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_qpe)
 
     p = sub.add_parser("synth", help="approximate one Rz rotation")
     p.add_argument("--theta", required=True, help="radians; accepts 'pi/3' forms")
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--max-length", type=int, default=DEFAULT_MAX_LENGTH)
+    p.add_argument("--max-length", type=int, default=RunConfig.max_length)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("compile", help="rewrite a circuit over Clifford+T+CNOT")
     p.add_argument("--circuit", required=True)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--max-length", type=int, default=DEFAULT_MAX_LENGTH)
+    p.add_argument("--max-length", type=int, default=RunConfig.max_length)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_compile)
 
@@ -250,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inject", help="run an exhaustive fault campaign")
     p.add_argument("--circuit", required=True)
     p.add_argument("--bitstring", default=None)
-    p.add_argument("--mode", choices=list(MODES) + ["full"], default="mirrored")
+    p.add_argument("--mode", choices=list(MODES) + ["full"],
+                   default=RunConfig.injection_mode)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_inject)
 
@@ -267,21 +263,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--circuit", default=None)
     p.add_argument("--d-low", type=int, default=3)
     p.add_argument("--d-high", type=int, default=5)
-    p.add_argument("--tau", type=float, default=0.9)
+    p.add_argument("--tau", type=float, default=RunConfig.tau)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_assign)
 
     p = sub.add_parser("tts", help="time-to-solution sweep over error rates")
     p.add_argument("--profile", required=True)
     p.add_argument("--circuit", default=None)
-    p.add_argument("--configs", nargs="+", default=["3", "3,5", "5", "5,7", "7"],
+    p.add_argument("--configs", nargs="+",
+                   default=[",".join(map(str, c)) for c in RunConfig.distance_configs],
                    help="distance configs, e.g. 3 or 3,5")
-    p.add_argument("--p-min", type=float, default=1e-5)
-    p.add_argument("--p-max", type=float, default=1e-2)
-    p.add_argument("--p-points", type=int, default=50)
-    p.add_argument("--tau", type=float, default=0.9)
-    p.add_argument("--prefactor", type=float, default=0.03)
-    p.add_argument("--threshold", type=float, default=0.0057)
+    p.add_argument("--p-min", type=float, default=RunConfig.p_min)
+    p.add_argument("--p-max", type=float, default=RunConfig.p_max)
+    p.add_argument("--p-points", type=int, default=RunConfig.p_points)
+    p.add_argument("--tau", type=float, default=RunConfig.tau)
+    p.add_argument("--prefactor", type=float, default=RunConfig.prefactor)
+    p.add_argument("--threshold", type=float, default=RunConfig.threshold)
     p.add_argument("--no-resize", action="store_true",
                    help="exclude patch resize cycles from latency")
     p.add_argument("--out-csv", required=True)

@@ -292,6 +292,8 @@ def _check_consistent(profile: SensitivityProfile) -> None:
             bad(f"gate {i}: {g.kind!r} on {len(g.qubits)} qubit(s)")
         if any(not 0 <= q < n for q in g.qubits):
             bad(f"gate {i} touches a qubit outside [0, {n}): {g.qubits}")
+        if g.timestep < 0:
+            bad(f"gate {i} has negative timestep {g.timestep}")
     for rec in profile.records:
         i = rec.site.gate_index
         if not (0 <= i < len(gates) and gates[i].faultable):

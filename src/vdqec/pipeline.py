@@ -20,8 +20,8 @@ from .qecc import (
     ErrorModelParams,
     assignment_to_json,
     check_tau,
-    distance_config,
     ladder,
+    ladder_configs,
     log_p_grid,
     sweep_tts,
 )
@@ -32,7 +32,7 @@ from .render import (
     heatmap_svg_bytes,
     sweep_csv_bytes,
 )
-from .sim import circuit_to_json
+from .sim import Circuit, circuit_to_json
 from .synth import DEFAULT_MAX_LENGTH, check_budget, compile_circuit
 
 SCHEMA_VERSION = 1
@@ -53,14 +53,14 @@ def _stage(name: str):
 
 @dataclass(frozen=True)
 class RunConfig:
-    counting_qubits: int = 5
-    phase_num: int = 5
-    phase_den: int = 32
+    counting_qubits: int = QpeSpec.counting_qubits
+    phase_num: int = QpeSpec.phase_num
+    phase_den: int = QpeSpec.phase_den
     synthesis_epsilon: float = 0.015
     max_length: int = DEFAULT_MAX_LENGTH
     injection_mode: str = "mirrored"
-    prefactor: float = 0.03
-    threshold: float = 0.0057
+    prefactor: float = ErrorModelParams.prefactor
+    threshold: float = ErrorModelParams.threshold
     distance_configs: tuple[tuple[int, ...], ...] = (
         (3,), (3, 5), (5,), (5, 7), (7,),
     )
@@ -79,11 +79,8 @@ class RunConfig:
             raise ValidationError(
                 f"injection_mode must be one of {MODES}"
             )
-        if not isinstance(self.distance_configs, (list, tuple)):
-            raise ValidationError("distance_configs must be a list of configs")
         object.__setattr__(
-            self, "distance_configs",
-            tuple(map(distance_config, self.distance_configs)),
+            self, "distance_configs", ladder_configs(self.distance_configs)
         )
         QpeSpec(self.counting_qubits, self.phase_num, self.phase_den)
         check_budget(self.synthesis_epsilon, self.max_length)
@@ -115,6 +112,14 @@ def _json_bytes(doc: dict) -> bytes:
     return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
 
+def circuit_bytes(circuit: Circuit, correct: str | None) -> bytes:
+    """The circuit document; correct_bitstring is left out when None."""
+    doc = {"circuit": circuit_to_json(circuit)}
+    if correct is not None:
+        doc["correct_bitstring"] = correct
+    return _json_bytes(doc)
+
+
 def write_atomic(path: str, data: bytes) -> None:
     tmp = path + ".partial"
     with open(tmp, "wb") as fh:
@@ -136,17 +141,13 @@ def run_pipeline(config: RunConfig, out_dir: str) -> dict:
     with _stage("benchmark"):
         spec = QpeSpec(config.counting_qubits, config.phase_num, config.phase_den)
         circuit, correct = build_qpe(spec)
-        artifacts["circuit.json"] = _json_bytes(
-            {"circuit": circuit_to_json(circuit), "correct_bitstring": correct}
-        )
+        artifacts["circuit.json"] = circuit_bytes(circuit, correct)
 
     with _stage("compile"):
         compiled = compile_circuit(
             circuit, config.synthesis_epsilon, config.max_length
         )
-        artifacts["compiled.json"] = _json_bytes(
-            {"circuit": circuit_to_json(compiled), "correct_bitstring": correct}
-        )
+        artifacts["compiled.json"] = circuit_bytes(compiled, correct)
 
     with _stage("inject"):
         profile = run_campaign(compiled, correct, config.injection_mode)

@@ -68,10 +68,7 @@ class CodeAssignment:
                 )
             prev_start, prev_d = None, None
             for start, d in segs:
-                if d < 3 or d % 2 == 0:
-                    raise AssignmentError(
-                        f"qubit {q}: distance must be odd and >= 3, got {d}"
-                    )
+                check_distance(d)
                 if prev_start is not None and start <= prev_start:
                     raise AssignmentError(
                         f"qubit {q}: segment starts must increase"
@@ -105,13 +102,16 @@ class CodeAssignment:
         return total
 
 
-def uniform_assignment(
-    num_qubits: int, distance: int, label: str | None = None
-) -> CodeAssignment:
-    if label is None:
-        label = f"d={distance}"
+def check_distance(d) -> None:
+    """Raise AssignmentError unless d is an odd int >= 3; bools and floats
+    are refused."""
+    if isinstance(d, bool) or not isinstance(d, int) or d < 3 or d % 2 == 0:
+        raise AssignmentError(f"distance must be an odd int >= 3, got {d!r}")
+
+
+def uniform_assignment(num_qubits: int, distance: int) -> CodeAssignment:
     schedules = tuple((((0, distance),)) for _ in range(num_qubits))
-    return CodeAssignment(label, num_qubits, schedules)
+    return CodeAssignment(f"d={distance}", num_qubits, schedules)
 
 
 def check_tau(tau: float) -> None:
@@ -156,18 +156,28 @@ def distance_config(values) -> tuple[int, ...]:
             f"distance config must be a list of 1 or 2 distances, got {values!r}"
         )
     for d in values:
-        if isinstance(d, bool) or not isinstance(d, int) or d < 3 or d % 2 == 0:
-            raise ValidationError(f"distance must be an odd int >= 3, got {d!r}")
+        check_distance(d)
     if values[-1] < values[0]:
         raise ValidationError(f"distances may only grow, got {values!r}")
     return tuple(values)
+
+
+def ladder_configs(configs) -> tuple[tuple[int, ...], ...]:
+    """Validated distance configs, each at most once: a config names its
+    assignment artifact and its rows in the sweep."""
+    if not isinstance(configs, (list, tuple)):
+        raise ValidationError("distance configs must be a list of configs")
+    out = tuple(map(distance_config, configs))
+    if len(set(out)) != len(out):
+        raise ValidationError(f"distance configs must be distinct, got {out}")
+    return out
 
 
 def ladder(profile: SensitivityProfile, configs, tau: float) -> list[CodeAssignment]:
     """One assignment per distance config: uniform for (d,), two-distance
     for (d_low, d_high)."""
     out = []
-    for cfg in map(distance_config, configs):
+    for cfg in ladder_configs(configs):
         if len(cfg) == 1:
             out.append(uniform_assignment(profile.num_qubits, cfg[0]))
         else:

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .sim import Circuit, GateOp
+from .sim import MAX_QUBITS, Circuit, GateOp
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,8 @@ class QpeSpec:
     phase_den: int = 32
 
     def __post_init__(self):
-        if not (1 <= self.counting_qubits <= 11):
-            raise ValidationError("counting_qubits must be in [1, 11]")
+        if not (1 <= self.counting_qubits <= MAX_QUBITS - 1):  # + the target
+            raise ValidationError(f"counting_qubits must be in [1, {MAX_QUBITS - 1}]")
         if self.phase_den <= 0:
             raise ValidationError("phase_den must be positive")
         if not (0 <= self.phase_num < self.phase_den):

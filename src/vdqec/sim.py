@@ -99,7 +99,8 @@ class GateOp:
         object.__setattr__(
             self, "params", tuple(as_real(p, "parameter") for p in self.params)
         )
-        as_int(self.timestep, "timestep")
+        if as_int(self.timestep, "timestep") < 0:
+            raise InvalidCircuitError(f"timestep must be >= 0, got {self.timestep}")
         as_bool(self.faultable, "faultable")
         if self.kind not in GATE_SIGNATURES:
             raise InvalidCircuitError(f"unknown gate kind {self.kind!r}")

@@ -103,12 +103,22 @@ def exact_success_and_multi_mass(circuit, correct, assignment, p, params):
     faultable gate independently suffers no error, or one of the mirrored
     Pauli types with probability q_g/3 each), simulating each branch
     exactly. Returns (exact success probability, total probability mass
-    of patterns with two or more errors)."""
-    from vdqec.qecc import site_error_prob
+    of patterns with two or more errors). q_g comes from the model itself,
+    not from vdqec.qecc: 1 - prod over the gate's patches of
+    (1 - min(1, A * (p / p_th)^((d+1)/2)))."""
     from vdqec.sim import StateVector, output_distribution, pst, zero_state
 
     n = circuit.num_qubits
     ops = circuit.ops
+
+    def q_gate(op):
+        ok = 1.0
+        for q in op.qubits:
+            d = [dist for start, dist in assignment.schedules[q]
+                 if start <= op.timestep][-1]
+            rate = params.prefactor * (p / params.threshold) ** ((d + 1) / 2)
+            ok *= 1.0 - min(1.0, rate)
+        return 1.0 - ok
 
     def score(amps):
         d = output_distribution(StateVector(n, amps), circuit.measured_qubits)
@@ -123,7 +133,7 @@ def exact_success_and_multi_mass(circuit, correct, assignment, p, params):
         after = embed_gate(n, op.qubits, gate_matrix(op.kind, op.params)) @ amps
         if not op.faultable:
             return go(i + 1, after, weight, n_errors)
-        q_g = site_error_prob(op.qubits, op.timestep, assignment, p, params)
+        q_g = q_gate(op)
         success, multi = go(i + 1, after, weight * (1.0 - q_g), n_errors)
         for pauli in "XYZ":
             corrupted = after

@@ -151,16 +151,29 @@ def test_pipeline_writes_all_artifacts(tmp_path):
     assert set(manifest["artifacts"]) == names - {"manifest.json"}
 
 
-# sha256 of manifest.json for the criterion-9 config; a change that moves
-# artifact bytes on purpose updates it and records why
-CRITERION_9_CONFIG = {"synthesis_epsilon": 0.12, "max_length": 25, "p_points": 25}
-CRITERION_9_MANIFEST = "db174dea5993ac5e0c198c9161cb4e642ca9081e955ad63ef2be0d5fefecbcd0"
+# sha256 of manifest.json for two reference configs: the criterion-9 run
+# (mirrored campaign, 6 qubits) and the qpe8-full benchmark config at seed 1
+# (full-depolarizing campaign, 9 qubits); a change that moves artifact bytes
+# on purpose updates them and records why
+LOCKED_MANIFESTS = {
+    "criterion-9": (
+        {"synthesis_epsilon": 0.12, "max_length": 25, "p_points": 25},
+        "db174dea5993ac5e0c198c9161cb4e642ca9081e955ad63ef2be0d5fefecbcd0",
+    ),
+    "qpe8-full": (
+        {"counting_qubits": 8, "phase_num": 69, "phase_den": 256,
+         "synthesis_epsilon": 0.1, "injection_mode": "full-depolarizing"},
+        "cb382dff0d2fed981698fc90b89e39b46505dc7f0c99974f04cb2b563224b1e1",
+    ),
+}
 
 
-def test_pipeline_manifest_is_locked(tmp_path):
-    run_pipeline(config_from_json(CRITERION_9_CONFIG), str(tmp_path))
+@pytest.mark.parametrize("config, digest", list(LOCKED_MANIFESTS.values()),
+                         ids=list(LOCKED_MANIFESTS))
+def test_pipeline_manifest_is_locked(tmp_path, config, digest):
+    run_pipeline(config_from_json(config), str(tmp_path))
     manifest = (tmp_path / "manifest.json").read_bytes()
-    assert hashlib.sha256(manifest).hexdigest() == CRITERION_9_MANIFEST
+    assert hashlib.sha256(manifest).hexdigest() == digest
 
 
 def test_pipeline_rejects_unknown_config_keys(tmp_path, capsys):
@@ -210,6 +223,7 @@ def test_tts_and_assign_reproduce_the_pipeline_ladder(tmp_path):
     {"include_resize": 1},
     {"p_points": 10**7},
     {"prefactor": 10**400},
+    {"distance_configs": ((3,), (3,))},
 ])
 def test_run_config_rejects_bad_values_at_construction(kwargs):
     with pytest.raises(ValidationError):
@@ -253,11 +267,23 @@ PROFILE_1Q = {
     ({**PROFILE_1Q, "pst_ideal": 5.0, "records": [[0, "XYZ", 0.5, 0.1]],
       "gates": [[0, "H", [3], 0, True, 0.1, 0.1, 1]]},
      ["assign", "--profile", "{in}"]),
+    ({**CIRCUIT_1Q, "ops": [{"kind": "X", "qubits": [0], "timestep": -2}]},
+     ["inject", "--circuit", "{in}", "--bitstring", "1"]),
+    ({**PROFILE_1Q, "gates": [[0, "X", [0], -2, True, 1.0, 1.0, 0]]},
+     ["heatmap", "--profile", "{in}", "--out-csv", "{out}.csv", "--out-svg", "{out}.svg"]),
+    ({**CIRCUIT_1Q, "ops": [{"kind": "H", "qubits": [0]}]},
+     ["compile", "--circuit", "{in}", "--epsilon=-5"]),
+    ({**CIRCUIT_1Q, "ops": [{"kind": "H", "qubits": [0]}]},
+     ["compile", "--circuit", "{in}", "--epsilon", "0.1", "--max-length", "0"]),
+    ({**PROFILE_1Q, "gates": [[0, "H", [0], 0, False, 1.0, 1.0, 0]]},
+     ["tts", "--profile", "{in}", "--configs", "3", "3", "--out-csv", "{out}.csv"]),
 ], ids=["config-list", "config-str-int", "timestep-str", "rz-nan", "shared-cell",
         "missing-dir", "theta-nan", "qubit-float", "num-qubits-float",
         "faultable-str", "timestep-inf", "profile-timestep-inf", "record-index-float",
         "theta-pi-over-0", "theta-dot-pi", "theta-minus-dot-pi",
-        "profile-mode-digest-kind", "profile-qubit-record-pst"])
+        "profile-mode-digest-kind", "profile-qubit-record-pst",
+        "timestep-negative", "profile-timestep-negative", "compile-epsilon-negative",
+        "compile-max-length-0", "tts-configs-repeat"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, doc, argv):
     paths = {"in": str(tmp_path / "in.json"), "out": str(tmp_path / "out")}
     if doc is not None:

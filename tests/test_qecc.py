@@ -87,6 +87,10 @@ def test_assignment_validation():
         CodeAssignment("bad", 1, (((0, 5), (4, 3)),))
     with pytest.raises(AssignmentError):
         CodeAssignment("bad", 2, (((0, 3),),))
+    # the distance rule distance_config applies: an odd int >= 3, not a float
+    for d in (5.0, True, 1):
+        with pytest.raises(AssignmentError):
+            uniform_assignment(2, d)
 
 
 def test_distance_schedule_lookup():

@@ -193,7 +193,10 @@ def logical_error_rate(
         raise ValidationError(f"physical error rate must be in (0, 1), got {p}")
     if distance < 3 or distance % 2 == 0:
         raise ValidationError(f"distance must be odd and >= 3, got {distance}")
-    rate = params.prefactor * (p / params.threshold) ** ((distance + 1) / 2)
+    try:
+        rate = params.prefactor * (p / params.threshold) ** ((distance + 1) / 2)
+    except OverflowError:  # float ** raises where the rate passes 1e308
+        return 1.0
     return min(1.0, float(rate))
 
 

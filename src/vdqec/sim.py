@@ -55,6 +55,9 @@ GATE_SIGNATURES = {
 
 MAX_QUBITS = 12
 
+# outcomes with at most this probability are left out of a distribution
+MIN_PROB = 1e-15
+
 
 def rz_matrix(theta: float) -> np.ndarray:
     """Phase rotation diag(1, e^{i theta})."""
@@ -190,15 +193,21 @@ def zero_state(num_qubits: int) -> StateVector:
 
 def _apply(amps: np.ndarray, n: int, qubits: tuple[int, ...], mat: np.ndarray) -> np.ndarray:
     """Apply a 2^k x 2^k matrix to the k target qubits (first qubit is the
-    most significant bit of the matrix index)."""
+    most significant bit of the matrix index).
+
+    amps is one state of shape (2^n,) or a block of states of shape
+    (2^n, B), one state per column; the result has the same shape.
+    """
     k = len(qubits)
     targets = [n - 1 - q for q in qubits]
-    # target axes first, the others in order: the views np.moveaxis builds,
-    # without its argument checks (about 4 us a call with numpy 2.4)
-    order = targets + [a for a in range(n) if a not in targets]
-    psi = amps.reshape([2] * n).transpose(order)
+    # target axes first, the other qubit axes in order, the batch axis last:
+    # the views np.moveaxis builds, without its argument checks (about 4 us
+    # a call with numpy 2.4); a single state has a batch axis of length 1,
+    # so it reaches tensordot with the same 2-D operands as a bare vector
+    order = targets + [a for a in range(n + 1) if a not in targets]
+    psi = amps.reshape([2] * n + [-1]).transpose(order)
     psi = np.tensordot(mat.reshape([2] * (2 * k)), psi, axes=(range(k, 2 * k), range(k)))
-    return psi.transpose(np.argsort(order)).reshape(-1)
+    return psi.transpose(np.argsort(order)).reshape(amps.shape)
 
 
 def _apply_op(amps: np.ndarray, n: int, op: GateOp) -> np.ndarray:
@@ -226,30 +235,35 @@ def simulate(circuit: Circuit, initial: StateVector | None = None) -> StateVecto
     return StateVector(n, amps)
 
 
+def _outcome_keys(n: int, measured_qubits: tuple[int, ...]) -> np.ndarray:
+    """Outcome index of each basis state: its measured bits, MSB first."""
+    idx = np.arange(2**n)
+    keys = np.zeros(2**n, dtype=np.int64)
+    for q in measured_qubits:
+        keys = (keys << 1) | ((idx >> q) & 1)
+    return keys
+
+
 def output_distribution(
     state: StateVector, measured_qubits: tuple[int, ...]
 ) -> dict[str, float]:
     """Exact measurement distribution over the listed qubits (MSB first).
 
     Unmeasured qubits are marginalized out. Outcomes with probability
-    below 1e-15 are dropped.
+    at most MIN_PROB are dropped.
     """
     n = state.num_qubits
     mq = tuple(int(q) for q in measured_qubits)
     if not mq or len(set(mq)) != len(mq) or any(not (0 <= q < n) for q in mq):
         raise ValidationError(f"bad measured_qubits {measured_qubits}")
     probs = np.abs(state.amplitudes) ** 2
-    idx = np.arange(probs.size)
-    keys = np.zeros(probs.size, dtype=np.int64)
-    for q in mq:
-        keys = (keys << 1) | ((idx >> q) & 1)
     acc = np.zeros(2 ** len(mq))
-    np.add.at(acc, keys, probs)
+    np.add.at(acc, _outcome_keys(n, mq), probs)
     width = len(mq)
     return {
         format(k, f"0{width}b"): float(acc[k])
         for k in range(acc.size)
-        if acc[k] > 1e-15
+        if acc[k] > MIN_PROB
     }
 
 

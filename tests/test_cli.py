@@ -135,6 +135,21 @@ def test_tts_writes_sweep(tmp_path):
     assert len([ln for ln in lines if ln]) == 31
 
 
+def test_tts_with_rates_past_float_range(tmp_path):
+    circ = tmp_path / "c.json"
+    prof = tmp_path / "p.json"
+    assert run("qpe", "-o", str(circ)) == 0
+    assert run("inject", "--circuit", str(circ), "-o", str(prof)) == 0
+    csv_path = tmp_path / "sweep.csv"
+    assert run(
+        "tts", "--profile", str(prof), "--p-points", "3", "--threshold", "1e-300",
+        "--out-csv", str(csv_path), "--out-svg", str(tmp_path / "curves.svg"),
+    ) == 0
+    rows = [ln.split(b",") for ln in csv_path.read_bytes().split(b"\r\n")[1:] if ln]
+    assert len(rows) == 15
+    assert all(float(r[-2]) == 0.0 and math.isinf(float(r[-1])) for r in rows)
+
+
 def test_pipeline_writes_all_artifacts(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(QUICK_CONFIG))
@@ -151,10 +166,12 @@ def test_pipeline_writes_all_artifacts(tmp_path):
     assert set(manifest["artifacts"]) == names - {"manifest.json"}
 
 
-# sha256 of manifest.json for two reference configs: the criterion-9 run
-# (mirrored campaign, 6 qubits) and the qpe8-full benchmark config at seed 1
-# (full-depolarizing campaign, 9 qubits); a change that moves artifact bytes
-# on purpose updates them and records why
+# sha256 of manifest.json for three reference configs: the criterion-9 run
+# (mirrored campaign, 6 qubits), the qpe8-full benchmark config at seed 1
+# (full-depolarizing campaign, 9 qubits) and the qpe5-mirrored benchmark
+# config at seed 1 (eps 0.03 synthesis, mirrored campaign on long
+# sequences); a change that moves artifact bytes on purpose updates them
+# and records why
 LOCKED_MANIFESTS = {
     "criterion-9": (
         {"synthesis_epsilon": 0.12, "max_length": 25, "p_points": 25},
@@ -164,6 +181,11 @@ LOCKED_MANIFESTS = {
         {"counting_qubits": 8, "phase_num": 69, "phase_den": 256,
          "synthesis_epsilon": 0.1, "injection_mode": "full-depolarizing"},
         "cb382dff0d2fed981698fc90b89e39b46505dc7f0c99974f04cb2b563224b1e1",
+    ),
+    "qpe5-mirrored": (
+        {"counting_qubits": 5, "phase_num": 9, "phase_den": 32,
+         "synthesis_epsilon": 0.03, "injection_mode": "mirrored"},
+        "b17e76ca8f3c5aed0b8bc2fc2d50ad744b660b4d0ed1c98f850dcba4e0110986",
     ),
 }
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import inject, relative_pst_of_injection, with_faultable
+from vdqec import inject as inject_module
 from vdqec.errors import CampaignError, ValidationError
 from vdqec.inject import (
     FaultSite,
@@ -114,6 +115,68 @@ def test_campaign_matches_reference_path():
     for rec in profile.records[:20]:
         ref = relative_pst_of_injection(circuit, rec.site, correct)
         assert rec.relative_pst == pytest.approx(ref, abs=1e-12)
+
+
+def random_circuit(n, gates, seed, measured):
+    """One random gate per timestep, drawn from CNOT, ControlledPhase, Rz
+    and Clifford+T gates, and the likeliest noiseless outcome."""
+    rng = np.random.default_rng(seed)
+    kinds = ["H", "T", "S", "X", "Rz"] + (["CNOT", "ControlledPhase"] * 2 if n > 1 else [])
+    ops = []
+    for t in range(gates):
+        kind = kinds[rng.integers(len(kinds))]
+        if kind in ("CNOT", "ControlledPhase"):
+            qubits = tuple(int(q) for q in rng.choice(n, 2, replace=False))
+        else:
+            qubits = (int(rng.integers(n)),)
+        params = (float(rng.uniform(-np.pi, np.pi)),) if kind in ("Rz", "ControlledPhase") else ()
+        ops.append(GateOp(kind, qubits, params, t))
+    circuit = Circuit(n, tuple(ops), tuple(range(measured)))
+    dist = output_distribution(simulate(circuit), circuit.measured_qubits)
+    return circuit, max(dist, key=dist.get)
+
+
+BLOCK_CASES = [(1, 1), (2, 2), (3, 3), (7, 5), (12, 1)]  # (qubits, measured)
+
+
+@pytest.mark.parametrize("mode", ["mirrored", "full-depolarizing"])
+@pytest.mark.parametrize("n, measured", BLOCK_CASES, ids=[f"n{n}" for n, _ in BLOCK_CASES])
+def test_block_replay_matches_reference_and_ignores_block_size(monkeypatch, n, measured, mode):
+    circuit, correct = random_circuit(n, 18, 100 + n, measured)
+    profile = run_campaign(circuit, correct, mode)
+    assert len(profile.records) == len(enumerate_sites(circuit, mode))
+    for rec in profile.records:
+        ref = relative_pst_of_injection(circuit, rec.site, correct)
+        assert rec.relative_pst == pytest.approx(ref, abs=1e-12)
+    # one state per chunk, which splits a two-qubit gate's sites across
+    # chunks, and one chunk for every site
+    for amps in (1, 2**20):
+        monkeypatch.setattr(inject_module, "_BLOCK_AMPS", amps)
+        other = run_campaign(circuit, correct, mode)
+        if n >= 4:
+            assert other == profile
+        else:
+            # below four qubits a gate leaves fewer than four amplitudes per
+            # state outside its target axes, and the BLAS product of a wider
+            # block rounds differently from that of a single state
+            assert [r.site for r in other.records] == [r.site for r in profile.records]
+            for a, b in zip(other.records, profile.records):
+                assert a.relative_pst == pytest.approx(b.relative_pst, abs=1e-12)
+
+
+def test_block_replay_edge_cases(monkeypatch):
+    circuit, correct = random_circuit(7, 18, 107, 5)
+    quiet = run_campaign(with_faultable(circuit, False), correct, "full-depolarizing")
+    assert quiet.records == ()
+    assert all(g.n_records == 0 for g in quiet.gates)
+
+    def no_replay(*args):
+        raise AssertionError("a site was replayed")
+
+    monkeypatch.setattr(inject_module, "_chunk_psts", no_replay)
+    for bad in (correct + "0", correct[1:], correct[:-1] + "2"):
+        with pytest.raises(ValidationError):
+            run_campaign(circuit, bad, "full-depolarizing")
 
 
 def test_campaign_record_and_cell_structure():

@@ -44,6 +44,12 @@ def test_rate_clamps_to_one():
     assert logical_error_rate(0.9, 3) == 1.0
 
 
+def test_rate_past_float_range_clamps_to_one():
+    # (p / threshold) ** ((d + 1) / 2) overflows a float in both cases
+    assert logical_error_rate(0.5, 3, ErrorModelParams(threshold=1e-300)) == 1.0
+    assert logical_error_rate(0.01, 100001) == 1.0
+
+
 def test_rate_validates_inputs():
     with pytest.raises(ValidationError):
         logical_error_rate(0.0, 3)

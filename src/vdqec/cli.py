@@ -39,6 +39,7 @@ from .render import (
     sweep_csv_bytes,
 )
 from .sim import (
+    check_bitstring,
     circuit_digest,
     circuit_from_json,
     output_distribution,
@@ -83,7 +84,11 @@ def _read_circuit(path: str):
     "correct_bitstring": ...} wrapper the qpe command emits."""
     doc = _read_json(path)
     if "circuit" in doc:
-        return circuit_from_json(doc["circuit"]), doc.get("correct_bitstring")
+        circuit = circuit_from_json(doc["circuit"])
+        correct = doc.get("correct_bitstring")
+        if correct is not None:
+            check_bitstring(correct, len(circuit.measured_qubits))
+        return circuit, correct
     return circuit_from_json(doc), None
 
 

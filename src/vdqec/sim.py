@@ -267,15 +267,19 @@ def output_distribution(
     }
 
 
+def check_bitstring(bits, width: int) -> None:
+    """Raise ValidationError unless bits is a str of width 0/1 characters."""
+    if not isinstance(bits, str) or len(bits) != width or set(bits) - {"0", "1"}:
+        raise ValidationError(
+            f"bitstring {bits!r} does not match outcome width {width}"
+        )
+
+
 def pst(distribution: dict[str, float], correct_bitstring: str) -> float:
     """Probability of successful trial: mass on the correct outcome."""
     if not distribution:
         raise ValidationError("empty distribution")
-    width = len(next(iter(distribution)))
-    if len(correct_bitstring) != width or set(correct_bitstring) - {"0", "1"}:
-        raise ValidationError(
-            f"bitstring {correct_bitstring!r} does not match outcome width {width}"
-        )
+    check_bitstring(correct_bitstring, len(next(iter(distribution))))
     return float(distribution.get(correct_bitstring, 0.0))
 
 

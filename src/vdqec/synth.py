@@ -7,13 +7,22 @@ T.Tdg, Tdg.T cancel, TT and Tdg.Tdg reduce to S and Sdg, and Sdg.Sdg is
 respelled as SS (the canonical in-alphabet spelling of Z, which is why
 SS itself stays legal).
 
-approximate_rz runs an exhaustive iterative-deepening search over normal
-form sequences, one length at a time, and returns the shortest sequence
-within epsilon of the target (ties broken lexicographically on the
-symbol order X < H < S < Sdg < T < Tdg). Search levels are deduplicated
-by the rotation each unitary induces on the Bloch sphere, which keeps
-the frontier tractable without changing the answer; tests check this
-against plain enumeration.
+approximate_rz returns the shortest normal-form sequence within epsilon
+of the target, ties broken lexicographically on the symbol order
+X < H < S < Sdg < T < Tdg. A table holds, per length, the least witness
+of each rotation that length reaches first (levels are deduplicated by
+the rotation each unitary induces on the Bloch sphere). For each length
+L = 0, 1, ... the search joins table level ceil(L/2) as prefix with
+level L - ceil(L/2) as suffix (meet in the middle, Amy, Maslov, Mosca and
+Roetteler, arXiv:1206.0758) and stops at the first length with a hit.
+The join gives the same answer as scanning table level L: both halves
+of the least minimal word are least witnesses of rotations first reached
+at their own lengths, or a swap would give a shorter or a smaller word.
+So the table only grows to level ceil(max_length/2). The join rounds its
+overlaps differently from a scan of level L, so a distance within about
+1e-16 of epsilon could in principle fall on the other side; the reported
+distance is recomputed with the table's own arithmetic. Tests check the
+join against a scan of the table and against plain enumeration.
 """
 
 from __future__ import annotations
@@ -46,8 +55,7 @@ FORBIDDEN_PAIRS = frozenset(
     ]
 )
 
-# the table grown to level 34 peaks at about 2.65 GB RSS (measured with the
-# default pipeline config, numpy 2.4); each further level costs roughly 1.4x more
+# the join needs table levels up to ceil(34/2) = 17 (3,968 entries at level 17)
 MAX_SEARCH_LENGTH = 34
 DEFAULT_MAX_LENGTH = MAX_SEARCH_LENGTH
 
@@ -106,8 +114,9 @@ def _bloch_keys(states: np.ndarray) -> np.ndarray:
 
 
 class _SearchTable:
-    """Levels of the iterative-deepening search, grown on demand and
-    shared between calls (the table only depends on the gate set)."""
+    """Levels of normal-form words, grown on demand and shared between
+    calls (the table only depends on the gate set). Level L holds the
+    least witness of each rotation that length L reaches first."""
 
     def __init__(self):
         eye = np.eye(2, dtype=complex)[None]
@@ -116,6 +125,8 @@ class _SearchTable:
         self.levels = [
             (eye.copy(), np.array([-1]), np.array([-1]))
         ]
+        # first symbol index per level, extended lazily by first_symbols
+        self._first = [np.array([-1])]
         self._allowed = np.ones((7, 6), dtype=bool)
         for a, b in FORBIDDEN_PAIRS:
             self._allowed[SYMBOLS.index(a), SYMBOLS.index(b)] = False
@@ -127,7 +138,7 @@ class _SearchTable:
     def _grow(self) -> None:
         parents, last, _ = self.levels[-1]
         idx = np.flatnonzero(self._allowed[last])
-        children = np.einsum("kab,nbc->nkac", _MATS, parents).reshape(-1, 2, 2)[idx]
+        children = _step(parents).reshape(-1, 2, 2)[idx]
         # children come in (parent, symbol) order, which is lexicographic, so
         # the first unseen key is the least witness of a new rotation
         keep = np.zeros(len(idx), dtype=bool)
@@ -139,17 +150,93 @@ class _SearchTable:
         parent_idx, sym_idx = np.divmod(idx[keep], 6)
         self.levels.append((children[keep], sym_idx, parent_idx))
 
-    def sequence_at(self, level: int, index: int) -> str:
-        out = []
-        while level > 0:
-            _, sym_idx, parent_idx = self.levels[level]
-            out.append(SYMBOLS[sym_idx[index]])
-            index = int(parent_idx[index])
-            level -= 1
-        return "".join(reversed(out))
+    def first_symbols(self, level: int) -> np.ndarray:
+        while len(self._first) <= level:
+            _, sym_idx, parent_idx = self.levels[len(self._first)]
+            self._first.append(sym_idx if len(self._first) == 1
+                               else self._first[-1][parent_idx])
+        return self._first[level]
+
+    def symbols(self, level: int, index: np.ndarray) -> np.ndarray:
+        """Symbol indices of the given entries of a level, one row each."""
+        out = np.empty((len(index), level), dtype=np.intp)
+        for col in range(level - 1, -1, -1):
+            _, sym_idx, parent_idx = self.levels[col + 1]
+            out[:, col] = sym_idx[index]
+            index = parent_idx[index]
+        return out
+
+    def join(self, i: int, j: int, target: np.ndarray, epsilon: float):
+        """Scan the words P.S (P in level i, S in level j, junction in
+        normal form) in lexicographic order for one within epsilon of
+        target. Returns (hit, prefix ranks, suffix ranks): the first hit
+        alone, or else every pair within 1e-9 of the least distance."""
+        prefix, last, _ = self.levels[i]
+        suffix = self.levels[j][0]
+        # tr(target^dag U_S U_P) = tr(V_S^dag U_P) with V_S = U_S^dag target
+        v_conj = (suffix.conj().transpose(0, 2, 1) @ target).conj()
+        v_conj = np.ascontiguousarray(v_conj.reshape(-1, 4).T)
+        forbidden = (~self._allowed[:, self.first_symbols(j)] if j
+                     else np.zeros((7, 1), dtype=bool))
+        flat = prefix.reshape(-1, 4)
+        rows = max(1, _JOIN_CELLS // len(suffix))
+        # |tr| below hit_floor cannot pass the hit test; it only prefilters
+        hit_floor = 2.0 * (1.0 - epsilon**2) - 1e-9
+        least, near = np.inf, []
+        for r0 in range(0, len(flat), rows):
+            tr = np.abs(flat[r0 : r0 + rows] @ v_conj)
+            tr[forbidden[last[r0 : r0 + rows]]] = -np.inf
+            tr = tr.ravel()
+            top = tr.max()
+            if top >= hit_floor:
+                cells = np.flatnonzero(tr >= hit_floor)
+                cells = cells[_distance(tr[cells]) <= epsilon]
+                if cells.size:
+                    p, s = divmod(int(cells[0]) + r0 * len(suffix), len(suffix))
+                    return True, np.array([p]), np.array([s])
+            # d <= min d + 1e-9 implies |tr| >= max |tr| - 4e-9
+            cells = np.flatnonzero(tr >= top - 1e-8)
+            d = _distance(tr[cells])
+            least = min(least, d.min())
+            near.append((cells + r0 * len(suffix), d))
+        cells = np.concatenate([c for c, _ in near])
+        d = np.concatenate([d for _, d in near])
+        p, s = np.divmod(cells[d <= least + 1e-9], len(suffix))
+        return False, p, s
+
+    def words(self, i: int, prefix: np.ndarray, j: int, suffix: np.ndarray,
+              target_dag: np.ndarray):
+        """Unitaries of the words P.S and their distances to the target,
+        stepped from the stored prefix unitaries exactly as the table grows
+        its levels, so that they carry the table's floats."""
+        u = self.levels[i][0][prefix]
+        rows = np.arange(len(u))
+        for k in self.symbols(j, suffix).T:
+            u = _step(u)[rows, k]
+        return u, _distance(np.abs(np.einsum("ab,nba->n", target_dag, u)))
+
+    def sequence(self, i: int, p: int, j: int, s: int) -> str:
+        syms = np.concatenate([self.symbols(i, np.array([p]))[0],
+                               self.symbols(j, np.array([s]))[0]])
+        return "".join(SYMBOLS[k] for k in syms)
+
+
+def _distance(abs_trace: np.ndarray) -> np.ndarray:
+    """sqrt(1 - |tr(target^dag u)| / 2) from |tr(target^dag u)|."""
+    return np.sqrt(np.maximum(0.0, 1.0 - abs_trace / 2.0))
+
+
+def _step(u: np.ndarray) -> np.ndarray:
+    """Every one-symbol extension of each unitary, indexed [n, symbol]."""
+    return np.einsum("kab,nbc->nkac", _MATS, u)
 
 
 _TABLE = _SearchTable()
+
+# pair cells per join chunk. Compiling the qpe5-mirrored circuit in process
+# took 0.33-0.50 s at 2^16 to 2^20 cells and peaked at 38, 44 and 66 MB; 2^22
+# took 0.53-0.57 s and peaked at 121 MB.
+_JOIN_CELLS = 1 << 18
 
 
 def check_budget(epsilon: float, max_length: int) -> None:
@@ -181,23 +268,28 @@ def approximate_rz(
 
     target = rz_matrix(theta % (2 * np.pi))
     target_dag = target.conj().T
-    best = (2.0, 0, 0)
-    for level in range(max_length + 1):
+    near = []
+    for length in range(max_length + 1):
+        i = (length + 1) // 2
+        j = length - i
         # grow the shared table one level at a time so early hits stay cheap
-        _TABLE.ensure_length(level)
-        states = _TABLE.levels[level][0]
-        overlap = np.abs(np.einsum("ab,nba->n", target_dag, states)) / 2.0
-        d = np.sqrt(np.maximum(0.0, 1.0 - overlap))
-        hits = np.nonzero(d <= epsilon)[0]
-        if hits.size:
-            i = int(hits[0])
-            seq = _TABLE.sequence_at(level, i)
-            return ApproxReport(seq, theta, float(d[i]), level, True)
-        i = int(np.argmin(d))
-        if d[i] < best[0] - 1e-12:
-            best = (float(d[i]), level, i)
-    seq = _TABLE.sequence_at(best[1], best[2])
-    return ApproxReport(seq, theta, best[0], best[1], False)
+        _TABLE.ensure_length(i)
+        hit, p, s = _TABLE.join(i, j, target, epsilon)
+        if hit:
+            _, d = _TABLE.words(i, p, j, s, target_dag)
+            seq = _TABLE.sequence(i, int(p[0]), j, int(s[0]))
+            return ApproxReport(seq, theta, float(d[0]), length, True)
+        near.append((i, j, p, s))
+    best = (2.0, "")
+    for i, j, p, s in near:
+        u, d = _TABLE.words(i, p, j, s, target_dag)
+        # score each rotation by its least witness, as the table stores it
+        _, first = np.unique(_bloch_keys(u), axis=0, return_index=True)
+        first.sort()
+        k = int(first[np.argmin(d[first])])
+        if d[k] < best[0] - 1e-12:
+            best = (float(d[k]), _TABLE.sequence(i, int(p[k]), j, int(s[k])))
+    return ApproxReport(best[1], theta, best[0], len(best[1]), False)
 
 
 def compile_circuit(
@@ -214,9 +306,12 @@ def compile_circuit(
     """
     check_budget(epsilon, max_length)
     out: list[GateOp] = []
+    reports: dict[float, ApproxReport] = {}
 
     def emit_rz(theta, qubit, faultable, origin):
-        report = approximate_rz(theta, epsilon, max_length)
+        if theta not in reports:
+            reports[theta] = approximate_rz(theta, epsilon, max_length)
+        report = reports[theta]
         if not report.converged:
             raise CompileError(
                 f"op {origin}: Rz({theta:.6g}) only reached distance "

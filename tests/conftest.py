@@ -147,6 +147,41 @@ def exact_success_and_multi_mass(circuit, correct, assignment, p, params):
     return go(0, zero_state(n).amplitudes, 1.0, 0)
 
 
+def table_scan_rz(theta, epsilon, max_length):
+    """Oracle for approximate_rz: scan each level of the shared search
+    table in full, growing it to max_length, and stop at the first level
+    holding an entry within epsilon."""
+    from vdqec import synth
+    from vdqec.sim import rz_matrix
+
+    table = synth._TABLE
+
+    def sequence_at(level, index):
+        return "".join(synth.SYMBOLS[k]
+                       for k in table.symbols(level, np.array([index]))[0])
+
+    theta = float(theta)
+    synth.check_budget(epsilon, max_length)
+    target = rz_matrix(theta % (2 * np.pi))
+    target_dag = target.conj().T
+    best = (2.0, 0, 0)
+    for level in range(max_length + 1):
+        table.ensure_length(level)
+        states = table.levels[level][0]
+        overlap = np.abs(np.einsum("ab,nba->n", target_dag, states)) / 2.0
+        d = np.sqrt(np.maximum(0.0, 1.0 - overlap))
+        hits = np.nonzero(d <= epsilon)[0]
+        if hits.size:
+            i = int(hits[0])
+            seq = sequence_at(level, i)
+            return synth.ApproxReport(seq, theta, float(d[i]), level, True)
+        i = int(np.argmin(d))
+        if d[i] < best[0] - 1e-12:
+            best = (float(d[i]), level, i)
+    seq = sequence_at(best[1], best[2])
+    return synth.ApproxReport(seq, theta, best[0], best[1], False)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from vdqec.cli import main, parse_theta
 from vdqec.errors import ValidationError
 from vdqec.inject import profile_from_json
-from vdqec.pipeline import RunConfig, config_from_json, run_pipeline
+from vdqec.pipeline import RunConfig, circuit_bytes, config_from_json, run_pipeline
+from vdqec.qpe import QpeSpec, build_qpe
 from vdqec.qecc import assignment_from_json
 from vdqec.sim import GATE_SIGNATURES, MAX_QUBITS, circuit_from_json
 
@@ -173,6 +174,7 @@ def test_pipeline_writes_all_artifacts(tmp_path):
 # sequences); a change that moves artifact bytes on purpose updates them
 # and records why
 LOCKED_MANIFESTS = {
+    "default": ({}, "8aee4dc6945c059042edad5e9a2ef8b10eaf8c98efdc7a0c46c30a10f885fc06"),
     "criterion-9": (
         {"synthesis_epsilon": 0.12, "max_length": 25, "p_points": 25},
         "db174dea5993ac5e0c198c9161cb4e642ca9081e955ad63ef2be0d5fefecbcd0",
@@ -253,6 +255,7 @@ def test_run_config_rejects_bad_values_at_construction(kwargs):
 
 
 CIRCUIT_1Q = {"num_qubits": 1, "measured_qubits": [0]}
+QPE_2Q = json.loads(circuit_bytes(*build_qpe(QpeSpec(2, 1, 4))))
 PROFILE_1Q = {
     "circuit_digest": "0" * 64, "num_qubits": 1, "mode": "mirrored",
     "pst_ideal": 1.0, "records": [], "gates": [],
@@ -299,13 +302,23 @@ PROFILE_1Q = {
      ["compile", "--circuit", "{in}", "--epsilon", "0.1", "--max-length", "0"]),
     ({**PROFILE_1Q, "gates": [[0, "H", [0], 0, False, 1.0, 1.0, 0]]},
      ["tts", "--profile", "{in}", "--configs", "3", "3", "--out-csv", "{out}.csv"]),
+    ({**QPE_2Q, "correct_bitstring": 5}, ["simulate", "--circuit", "{in}"]),
+    ({**QPE_2Q, "correct_bitstring": 5}, ["inject", "--circuit", "{in}"]),
+    ({**QPE_2Q, "correct_bitstring": ["0"]},
+     ["compile", "--circuit", "{in}", "--epsilon", "0.1", "--max-length", "8"]),
+    ({**QPE_2Q, "correct_bitstring": "zz"},
+     ["compile", "--circuit", "{in}", "--epsilon", "0.1", "--max-length", "8"]),
+    ({**QPE_2Q, "correct_bitstring": "1"},
+     ["compile", "--circuit", "{in}", "--epsilon", "0.1", "--max-length", "8"]),
 ], ids=["config-list", "config-str-int", "timestep-str", "rz-nan", "shared-cell",
         "missing-dir", "theta-nan", "qubit-float", "num-qubits-float",
         "faultable-str", "timestep-inf", "profile-timestep-inf", "record-index-float",
         "theta-pi-over-0", "theta-dot-pi", "theta-minus-dot-pi",
         "profile-mode-digest-kind", "profile-qubit-record-pst",
         "timestep-negative", "profile-timestep-negative", "compile-epsilon-negative",
-        "compile-max-length-0", "tts-configs-repeat"])
+        "compile-max-length-0", "tts-configs-repeat", "bitstring-int-simulate",
+        "bitstring-int-inject", "bitstring-list-compile", "bitstring-bad-compile",
+        "bitstring-short-compile"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, doc, argv):
     paths = {"in": str(tmp_path / "in.json"), "out": str(tmp_path / "out")}
     if doc is not None:

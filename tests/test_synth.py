@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import dense_circuit_unitary
+from conftest import dense_circuit_unitary, table_scan_rz
 from vdqec.errors import CompileError, ValidationError
+from vdqec.qpe import QpeSpec, build_qpe
 from vdqec.sim import Circuit, GateOp
 from vdqec import synth
 from vdqec.synth import (
@@ -144,6 +145,64 @@ def test_matches_plain_enumeration_oracle(rng):
         assert got.sequence == seq, (theta, eps)
         assert got.converged == conv
         assert got.achieved_distance == pytest.approx(d, abs=1e-9)
+
+
+def rotation_angles(circuit):
+    """The Rz angles compile_circuit asks approximate_rz for."""
+    angles = set()
+    for op in circuit.ops:
+        if op.kind == "Rz":
+            angles.add(op.params[0])
+        elif op.kind == "ControlledPhase":
+            angles |= {op.params[0] / 2.0, -op.params[0] / 2.0}
+    return sorted(angles)
+
+
+def test_join_matches_table_scan(rng):
+    """The join returns what a full scan of table level L returns, on the
+    converged and the non-converged path, for odd and even lengths."""
+    qpe5_mirrored, _ = build_qpe(QpeSpec(5, 9, 32))
+    thetas = [float(t) for t in rng.uniform(-2 * np.pi, 2 * np.pi, size=20)]
+    thetas += rotation_angles(qpe5_mirrored)
+    assert len(thetas) == 38
+    for theta in thetas:
+        for eps in (0.05, 0.1, 0.2, 1e-6):
+            for max_length in (7, 8, 15, 16, 21, 22):
+                got = approximate_rz(theta, eps, max_length)
+                want = table_scan_rz(theta, eps, max_length)
+                assert got == want, (theta, eps, max_length)
+
+
+def test_join_scans_only_normal_form_words():
+    """With every word within epsilon, the first hit of a join is the first
+    pair in rank order whose junction is in normal form."""
+    table = synth._TABLE
+    table.ensure_length(3)
+    for i, j in ((1, 1), (2, 1), (2, 2), (3, 2), (3, 3)):
+        hit, p, s = table.join(i, j, np.eye(2, dtype=complex), 1.0)
+        assert hit
+        want = next(
+            (a, b)
+            for a in range(len(table.levels[i][0]))
+            for b in range(len(table.levels[j][0]))
+            if is_normal_form(table.sequence(i, a, j, b))
+        )
+        assert (int(p[0]), int(s[0])) == want, (i, j)
+
+
+def test_full_budget_stays_bounded():
+    """A non-converging call at the full length budget joins table levels
+    up to 17 and never grows the table to level 34."""
+    before = len(synth._TABLE.levels) - 1
+    r = approximate_rz(0.1, 1e-9, DEFAULT_MAX_LENGTH)
+    assert not r.converged
+    assert len(r.sequence) == r.length <= DEFAULT_MAX_LENGTH
+    assert is_normal_form(r.sequence)
+    assert r.achieved_distance == pytest.approx(
+        oracle_dist(sequence_unitary(r.sequence), 0.1), abs=1e-12
+    )
+    assert r.achieved_distance <= approximate_rz(0.1, 1e-9, 22).achieved_distance
+    assert len(synth._TABLE.levels) - 1 <= max(before, 17)
 
 
 def test_monotone_in_max_length(rng):

@@ -9,7 +9,9 @@ the qubits the gate touches. Two enumeration modes exist:
     gates (15 combinations); single-qubit gates get X, Y, Z either way.
 
 Each injected run is simulated exactly and scored by the probability of
-still reading the correct bitstring, relative to the noiseless run. The
+still reading the correct bitstring, relative to the noiseless run. One
+readout, bitwise equal to pst(output_distribution(...)), scores the
+noiseless run and every fault site. The
 campaign caches the noiseless state after every gate and replays the
 sites in chunks: consecutive sites whose states together hold at most
 _BLOCK_AMPS amplitudes share one (2^n, B) block, one column per site.
@@ -40,14 +42,12 @@ from .sim import (
     MAX_QUBITS,
     MIN_PROB,
     Circuit,
-    StateVector,
     _apply,
     _apply_op,
     _outcome_keys,
+    check_bitstring,
     circuit_digest,
     gate_matrix,
-    output_distribution,
-    pst,
     zero_state,
 )
 
@@ -138,8 +138,14 @@ def enumerate_sites(circuit: Circuit, mode: str = "mirrored") -> list[FaultSite]
     fixed Pauli order."""
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
+    return _sites(circuit.ops, mode)
+
+
+def _sites(gates, mode: str) -> list[FaultSite]:
+    """The fault sites of enumerate_sites for `gates`, anything with
+    .qubits and .faultable, such as circuit.ops or profile.gates."""
     sites = []
-    for i, op in enumerate(circuit.ops):
+    for i, op in enumerate(gates):
         if not op.faultable:
             continue
         if len(op.qubits) == 1:
@@ -173,9 +179,13 @@ def _chunk_psts(circuit: Circuit, prefixes, chunk, rows) -> list[float]:
             k += 1
         if cols:
             block = np.column_stack(cols if block is None else [block, *cols])
-    # add the rows in ascending index order, as np.add.at does in
-    # output_distribution: cumsum adds sequentially, while np.sum and a
-    # single-column np.add.reduce add pairwise
+    return _readout(block, rows)
+
+
+def _readout(block, rows) -> list[float]:
+    """PST of each column of a (2^n, B) block, as pst(output_distribution)
+    gives it: cumsum adds the rows in ascending order, as np.add.at does,
+    while np.sum and a single-column np.add.reduce add pairwise."""
     mass = np.cumsum(np.abs(block[rows]) ** 2, axis=0)[-1]
     return [float(m) if m > MIN_PROB else 0.0 for m in mass]
 
@@ -204,23 +214,23 @@ def run_campaign(
     if not circuit.ops:
         raise CampaignError("circuit has no gates to inject into")
     _check_distinct_cells(circuit.ops)
+    check_bitstring(correct_bitstring, len(circuit.measured_qubits))
     n = circuit.num_qubits
+    rows = np.flatnonzero(
+        _outcome_keys(n, circuit.measured_qubits) == int(correct_bitstring, 2)
+    )
     prefixes = []
     amps = zero_state(n).amplitudes
     for op in circuit.ops:
         amps = _apply_op(amps, n, op)
         prefixes.append(amps)
-    ideal_dist = output_distribution(StateVector(n, amps), circuit.measured_qubits)
-    pst_ideal = pst(ideal_dist, correct_bitstring)
+    (pst_ideal,) = _readout(amps[:, None], rows)
     if pst_ideal <= 0.0:
         raise CampaignError(
             "noiseless PST is zero; relative sensitivity is undefined"
         )
 
     sites = enumerate_sites(circuit, mode)
-    rows = np.flatnonzero(
-        _outcome_keys(n, circuit.measured_qubits) == int(correct_bitstring, 2)
-    )
     width = max(1, _BLOCK_AMPS >> n)
     noisy = []
     for start in range(0, len(sites), width):
@@ -336,12 +346,11 @@ def _check_consistent(profile: SensitivityProfile) -> None:
             bad(f"gate {i} touches a qubit outside [0, {n}): {g.qubits}")
         if g.timestep < 0:
             bad(f"gate {i} has negative timestep {g.timestep}")
+    sites = _sites(gates, profile.mode)
+    if [rec.site for rec in profile.records] != sites:
+        bad(f"the records are not the {len(sites)} {profile.mode} fault sites "
+            "of its gates, in campaign order")
     for rec in profile.records:
-        i = rec.site.gate_index
-        if not (0 <= i < len(gates) and gates[i].faultable):
-            bad(f"record on gate {i}, which is not a faultable gate")
-        if len(rec.site.paulis) != len(gates[i].qubits):
-            bad(f"record {''.join(rec.site.paulis)!r} on a {len(gates[i].qubits)}-qubit gate")
         if not 0 <= rec.pst_noisy <= 1 + _TOL:
             bad(f"pst_noisy {rec.pst_noisy} is not a probability")
         if not close(rec.relative_pst, rec.pst_noisy / profile.pst_ideal):

@@ -189,10 +189,16 @@ def logical_error_rate(
     p: float, distance: int, params: ErrorModelParams = DEFAULT_PARAMS
 ) -> float:
     """Per-gate logical error probability of a distance-d patch, in [0, 1]."""
+    check_distance(distance)
+    return _rate(p, distance, params)
+
+
+def _rate(p: float, distance: int, params: ErrorModelParams) -> float:
+    """logical_error_rate for a distance that passed check_distance, as all
+    of a CodeAssignment's did: the hot path of site_error_prob, where the
+    check would add 0.1 us to each of the 2.9 M calls of a resweep tts."""
     if not (0.0 < p < 1.0):
         raise ValidationError(f"physical error rate must be in (0, 1), got {p}")
-    if distance < 3 or distance % 2 == 0:
-        raise ValidationError(f"distance must be odd and >= 3, got {distance}")
     try:
         rate = params.prefactor * (p / params.threshold) ** ((distance + 1) / 2)
     except OverflowError:  # float ** raises where the rate passes 1e308
@@ -211,7 +217,7 @@ def site_error_prob(
     ok = 1.0
     for q in qubits:
         d = assignment.distance_at(q, timestep)
-        ok *= 1.0 - logical_error_rate(p, d, params)
+        ok *= 1.0 - _rate(p, d, params)
     return 1.0 - ok
 
 
@@ -278,7 +284,9 @@ class TtsPoint:
     tts: float
 
 
-# at ~0.15 ms per pst_bound call, 10,000 points cost ~1.5 s per config
+# a pst_bound call on the default config's profile (607 faultable gates)
+# took 0.5-0.9 ms, with host load (2 cores, Python 3.11, numpy 2.4), so
+# 10,000 points cost 5-9 s per config, 25-45 s for the default ladder of 5
 MAX_GRID_POINTS = 10_000
 
 

@@ -23,41 +23,6 @@ from .errors import InvalidCircuitError, ValidationError, as_bool, as_int, as_re
 
 SQRT2 = np.sqrt(2.0)
 
-_GATE_1Q = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.diag([1.0, -1.0]).astype(complex),
-    "H": np.array([[1, 1], [1, -1]], dtype=complex) / SQRT2,
-    "S": np.diag([1.0, 1j]).astype(complex),
-    "Sdg": np.diag([1.0, -1j]).astype(complex),
-    "T": np.diag([1.0, np.exp(1j * np.pi / 4)]).astype(complex),
-    "Tdg": np.diag([1.0, np.exp(-1j * np.pi / 4)]).astype(complex),
-}
-
-_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
-
-# kind -> (arity, number of parameters)
-GATE_SIGNATURES = {
-    "X": (1, 0),
-    "Y": (1, 0),
-    "Z": (1, 0),
-    "H": (1, 0),
-    "S": (1, 0),
-    "Sdg": (1, 0),
-    "T": (1, 0),
-    "Tdg": (1, 0),
-    "Rz": (1, 1),
-    "ControlledPhase": (2, 1),
-    "CNOT": (2, 0),
-}
-
-MAX_QUBITS = 12
-
-# outcomes with at most this probability are left out of a distribution
-MIN_PROB = 1e-15
-
 
 def rz_matrix(theta: float) -> np.ndarray:
     """Phase rotation diag(1, e^{i theta})."""
@@ -68,17 +33,38 @@ def controlled_phase_matrix(theta: float) -> np.ndarray:
     return np.diag([1.0, 1.0, 1.0, np.exp(1j * float(theta))]).astype(complex)
 
 
+# kind -> (arity, number of parameters, matrix); the matrix of a gate with
+# parameters is the function that builds it from them
+_GATES = {
+    "X": (1, 0, np.array([[0, 1], [1, 0]], dtype=complex)),
+    "Y": (1, 0, np.array([[0, -1j], [1j, 0]], dtype=complex)),
+    "Z": (1, 0, np.diag([1.0, -1.0]).astype(complex)),
+    "H": (1, 0, np.array([[1, 1], [1, -1]], dtype=complex) / SQRT2),
+    "S": (1, 0, np.diag([1.0, 1j]).astype(complex)),
+    "Sdg": (1, 0, np.diag([1.0, -1j]).astype(complex)),
+    "T": (1, 0, np.diag([1.0, np.exp(1j * np.pi / 4)]).astype(complex)),
+    "Tdg": (1, 0, np.diag([1.0, np.exp(-1j * np.pi / 4)]).astype(complex)),
+    "Rz": (1, 1, rz_matrix),
+    "ControlledPhase": (2, 1, controlled_phase_matrix),
+    "CNOT": (2, 0, np.array(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
+    )),
+}
+
+GATE_SIGNATURES = {kind: gate[:2] for kind, gate in _GATES.items()}
+
+MAX_QUBITS = 12
+
+# outcomes with at most this probability are left out of a distribution
+MIN_PROB = 1e-15
+
+
 def gate_matrix(kind: str, params: tuple[float, ...] = ()) -> np.ndarray:
     """Dense matrix (2x2 or 4x4) for a gate kind."""
-    if kind in _GATE_1Q:
-        return _GATE_1Q[kind]
-    if kind == "Rz":
-        return rz_matrix(params[0])
-    if kind == "ControlledPhase":
-        return controlled_phase_matrix(params[0])
-    if kind == "CNOT":
-        return _CNOT
-    raise InvalidCircuitError(f"unknown gate kind {kind!r}")
+    if kind not in _GATES:
+        raise InvalidCircuitError(f"unknown gate kind {kind!r}")
+    _, nparams, mat = _GATES[kind]
+    return mat(*params) if nparams else mat
 
 
 @dataclass(frozen=True)

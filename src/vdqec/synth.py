@@ -18,7 +18,9 @@ Roetteler, arXiv:1206.0758) and stops at the first length with a hit.
 The join gives the same answer as scanning table level L: both halves
 of the least minimal word are least witnesses of rotations first reached
 at their own lengths, or a swap would give a shorter or a smaller word.
-So the table only grows to level ceil(max_length/2). The join rounds its
+So the table only grows to level ceil(max_length/2) <= 17, small enough
+(3,968 entries there) that each level keeps its words as int8 rows of
+symbol indices, not as parent pointers. The join rounds its
 overlaps differently from a scan of level L, so a distance within about
 1e-16 of epsilon could in principle fall on the other side; the reported
 distance is recomputed with the table's own arithmetic. Tests check the
@@ -121,12 +123,8 @@ class _SearchTable:
     def __init__(self):
         eye = np.eye(2, dtype=complex)[None]
         self._seen = {_bloch_keys(eye).tobytes()}
-        # per level: (unitaries, last symbol index, parent index)
-        self.levels = [
-            (eye.copy(), np.array([-1]), np.array([-1]))
-        ]
-        # first symbol index per level, extended lazily by first_symbols
-        self._first = [np.array([-1])]
+        # per level: (unitaries, words); row n of words spells entry n
+        self.levels = [(eye.copy(), np.empty((1, 0), dtype=np.int8))]
         self._allowed = np.ones((7, 6), dtype=bool)
         for a, b in FORBIDDEN_PAIRS:
             self._allowed[SYMBOLS.index(a), SYMBOLS.index(b)] = False
@@ -136,8 +134,8 @@ class _SearchTable:
             self._grow()
 
     def _grow(self) -> None:
-        parents, last, _ = self.levels[-1]
-        idx = np.flatnonzero(self._allowed[last])
+        parents, words = self.levels[-1]
+        idx = np.flatnonzero(self._allowed[_last(words)])
         children = _step(parents).reshape(-1, 2, 2)[idx]
         # children come in (parent, symbol) order, which is lexicographic, so
         # the first unseen key is the least witness of a new rotation
@@ -148,35 +146,21 @@ class _SearchTable:
                 self._seen.add(kb)
                 keep[i] = True
         parent_idx, sym_idx = np.divmod(idx[keep], 6)
-        self.levels.append((children[keep], sym_idx, parent_idx))
-
-    def first_symbols(self, level: int) -> np.ndarray:
-        while len(self._first) <= level:
-            _, sym_idx, parent_idx = self.levels[len(self._first)]
-            self._first.append(sym_idx if len(self._first) == 1
-                               else self._first[-1][parent_idx])
-        return self._first[level]
-
-    def symbols(self, level: int, index: np.ndarray) -> np.ndarray:
-        """Symbol indices of the given entries of a level, one row each."""
-        out = np.empty((len(index), level), dtype=np.intp)
-        for col in range(level - 1, -1, -1):
-            _, sym_idx, parent_idx = self.levels[col + 1]
-            out[:, col] = sym_idx[index]
-            index = parent_idx[index]
-        return out
+        words = np.column_stack([words[parent_idx], sym_idx]).astype(np.int8)
+        self.levels.append((children[keep], words))
 
     def join(self, i: int, j: int, target: np.ndarray, epsilon: float):
         """Scan the words P.S (P in level i, S in level j, junction in
         normal form) in lexicographic order for one within epsilon of
         target. Returns (hit, prefix ranks, suffix ranks): the first hit
         alone, or else every pair within 1e-9 of the least distance."""
-        prefix, last, _ = self.levels[i]
-        suffix = self.levels[j][0]
+        prefix, prefix_words = self.levels[i]
+        suffix, suffix_words = self.levels[j]
+        last = _last(prefix_words)
         # tr(target^dag U_S U_P) = tr(V_S^dag U_P) with V_S = U_S^dag target
         v_conj = (suffix.conj().transpose(0, 2, 1) @ target).conj()
         v_conj = np.ascontiguousarray(v_conj.reshape(-1, 4).T)
-        forbidden = (~self._allowed[:, self.first_symbols(j)] if j
+        forbidden = (~self._allowed[:, suffix_words[:, 0]] if j
                      else np.zeros((7, 1), dtype=bool))
         flat = prefix.reshape(-1, 4)
         rows = max(1, _JOIN_CELLS // len(suffix))
@@ -211,14 +195,18 @@ class _SearchTable:
         its levels, so that they carry the table's floats."""
         u = self.levels[i][0][prefix]
         rows = np.arange(len(u))
-        for k in self.symbols(j, suffix).T:
+        for k in self.levels[j][1][suffix].T:
             u = _step(u)[rows, k]
         return u, _distance(np.abs(np.einsum("ab,nba->n", target_dag, u)))
 
     def sequence(self, i: int, p: int, j: int, s: int) -> str:
-        syms = np.concatenate([self.symbols(i, np.array([p]))[0],
-                               self.symbols(j, np.array([s]))[0]])
+        syms = np.concatenate([self.levels[i][1][p], self.levels[j][1][s]])
         return "".join(SYMBOLS[k] for k in syms)
+
+
+def _last(words: np.ndarray) -> np.ndarray:
+    """Last symbol of each word, or -1 (any may follow) for the empty word."""
+    return words[:, -1] if words.shape[1] else np.full(len(words), -1)
 
 
 def _distance(abs_trace: np.ndarray) -> np.ndarray:

@@ -1,8 +1,11 @@
+import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vdqec
 from vdqec.errors import CampaignError, ValidationError
 from vdqec.inject import FaultSite
 from vdqec.sim import (
@@ -158,7 +161,7 @@ def table_scan_rz(theta, epsilon, max_length):
 
     def sequence_at(level, index):
         return "".join(synth.SYMBOLS[k]
-                       for k in table.symbols(level, np.array([index]))[0])
+                       for k in table.levels[level][1][index])
 
     theta = float(theta)
     synth.check_budget(epsilon, max_length)
@@ -180,6 +183,14 @@ def table_scan_rz(theta, epsilon, max_length):
             best = (float(d[i]), level, i)
     seq = sequence_at(best[1], best[2])
     return synth.ApproxReport(seq, theta, best[0], best[1], False)
+
+
+@pytest.fixture(autouse=True)
+def children_import_the_tested_package(monkeypatch):
+    """Child processes (`python -m vdqec.cli`) import vdqec from where the
+    tests do, also from a checkout without an install or PYTHONPATH."""
+    paths = [str(Path(vdqec.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, paths)))
 
 
 @pytest.fixture

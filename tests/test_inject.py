@@ -19,6 +19,7 @@ from vdqec.sim import (
     Circuit,
     GateOp,
     output_distribution,
+    pst,
     simulate,
 )
 
@@ -134,6 +135,21 @@ def random_circuit(n, gates, seed, measured):
     circuit = Circuit(n, tuple(ops), tuple(range(measured)))
     dist = output_distribution(simulate(circuit), circuit.measured_qubits)
     return circuit, max(dist, key=dist.get)
+
+
+@pytest.mark.parametrize("n", [*range(1, 8), "qpe"])
+def test_pst_ideal_is_bitwise_the_reference_pst(n):
+    """The campaign reads pst_ideal with its fault-site readout: it must be
+    the PST of the exact output distribution, bit for bit, for every
+    outcome with nonzero PST."""
+    if n == "qpe":
+        circuits = [build_qpe()[0]]
+    else:
+        circuits = [random_circuit(n, 40, 300 + n, m)[0] for m in sorted({1, n // 2 or 1, n})]
+    for circuit in circuits:
+        dist = output_distribution(simulate(circuit), circuit.measured_qubits)
+        for bits in dist:
+            assert run_campaign(circuit, bits).pst_ideal == pst(dist, bits), bits
 
 
 BLOCK_CASES = [(1, 1), (2, 2), (3, 3), (7, 5), (12, 1)]  # (qubits, measured)
@@ -281,6 +297,11 @@ def _noisy_above_one(doc):
     doc["records"][0][2:4] = [1.5, 1.5 / doc["pst_ideal"]]
 
 
+def _swap_first_records(doc):
+    records = doc["records"]
+    records[0], records[1] = records[1], records[0]
+
+
 # gate 0 is an unfaultable X, gate 1 an H and gate 2 a CNOT; records 0-2
 # sit on the H and 3-5 on the CNOT
 INCONSISTENT = {
@@ -297,6 +318,12 @@ INCONSISTENT = {
     "record-unfaultable-gate": _set(["gates", 1, 4], False),
     "record-missing-gate": _set(["records", 0, 0], 7),
     "record-pauli-count": _set(["records", 0, 1], "XX"),
+    "record-mirrored-ix": _resummarised(_set(["records", 3, 1], "IX")),
+    "record-duplicated": _resummarised(
+        lambda doc: doc["records"].insert(1, list(doc["records"][0]))),
+    "record-dropped": _resummarised(lambda doc: doc["records"].pop(4)),
+    "records-swapped": _resummarised(_swap_first_records),
+    "records-none": _resummarised(_set(["records"], [])),
     "record-pst-noisy": _resummarised(_noisy_above_one),
     "record-relative": _resummarised(_set(["records", 0, 3], lambda v: v + 1e-9)),
     "summary-mean": _set(["gates", 2, 5], lambda v: v + 1e-9),

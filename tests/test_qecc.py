@@ -57,6 +57,9 @@ def test_rate_validates_inputs():
         logical_error_rate(0.001, 4)
     with pytest.raises(ValidationError):
         logical_error_rate(0.001, 1)
+    for d in (4.5, 3.5, 3.0, True):
+        with pytest.raises(ValidationError):
+            logical_error_rate(0.001, d)
 
 
 @settings(max_examples=60, deadline=None)

@@ -81,6 +81,21 @@ def test_table_level_sizes_are_locked():
     assert sizes == TABLE_LEVEL_SIZES
 
 
+def test_table_words_spell_their_unitaries():
+    """Every stored word of levels 0-17 is in normal form and, multiplied
+    out with the oracle's matrices, gives its stored unitary."""
+    synth._TABLE.ensure_length(17)
+    for level, (units, words) in enumerate(synth._TABLE.levels[:18]):
+        assert words.shape == (len(units), level)
+        for u, row in zip(units, words):
+            word = "".join(synth.SYMBOLS[k] for k in row)
+            assert is_normal_form(word), word
+            want = np.eye(2, dtype=complex)
+            for c in word:
+                want = ORACLE_MATS[c] @ want
+            assert np.abs(want - u).max() <= 1e-12, word
+
+
 def test_table_levels_match_plain_enumeration():
     """Level L holds one entry per rotation that a normal-form word of
     length L reaches and no shorter word does."""

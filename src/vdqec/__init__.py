@@ -58,7 +58,6 @@ from .qecc import (
     log_p_grid,
     logical_error_rate,
     pst_bound,
-    site_error_prob,
     sweep_tts,
     time_to_solution,
     uniform_assignment,

@@ -17,6 +17,16 @@ g suffers a logical fault,
 where mean_g PST_noisy is the campaign's mean post-fault PST at gate g.
 Discarding the multi-error mass can only lower the estimate, so this is
 a true lower bound for the depolarizing-style error model.
+
+A sweep evaluates the bound for one assignment over a whole grid of p as
+(points x gates) blocks. Each faultable gate's patch distances are read
+once. The scalar rate function fills one row per distinct distance, and
+each distinct distance tuple gets one q column, multiplied out in qubit
+order as the one-point formula does. The gathered q_g block is C-ordered,
+so the products run along each row and np.sum(axis=1) adds a row's terms
+in the order np.sum adds one point's: every bound is bitwise equal to the
+one-point pst_bound. A block holds at most BLOCK_CELLS cells, so memory
+stays bounded for any grid.
 """
 
 from __future__ import annotations
@@ -190,13 +200,6 @@ def logical_error_rate(
 ) -> float:
     """Per-gate logical error probability of a distance-d patch, in [0, 1]."""
     check_distance(distance)
-    return _rate(p, distance, params)
-
-
-def _rate(p: float, distance: int, params: ErrorModelParams) -> float:
-    """logical_error_rate for a distance that passed check_distance, as all
-    of a CodeAssignment's did: the hot path of site_error_prob, where the
-    check would add 0.1 us to each of the 2.9 M calls of a resweep tts."""
     if not (0.0 < p < 1.0):
         raise ValidationError(f"physical error rate must be in (0, 1), got {p}")
     try:
@@ -206,21 +209,6 @@ def _rate(p: float, distance: int, params: ErrorModelParams) -> float:
     return min(1.0, float(rate))
 
 
-def site_error_prob(
-    qubits: tuple[int, ...],
-    timestep: int,
-    assignment: CodeAssignment,
-    p: float,
-    params: ErrorModelParams = DEFAULT_PARAMS,
-) -> float:
-    """Probability that at least one patch touched by a gate faults."""
-    ok = 1.0
-    for q in qubits:
-        d = assignment.distance_at(q, timestep)
-        ok *= 1.0 - _rate(p, d, params)
-    return 1.0 - ok
-
-
 def pst_bound(
     profile: SensitivityProfile,
     assignment: CodeAssignment,
@@ -228,27 +216,66 @@ def pst_bound(
     params: ErrorModelParams = DEFAULT_PARAMS,
 ) -> float:
     """Lower bound on PST under the error model (see module docstring)."""
+    return float(_pst_bounds(profile, assignment, [p], params)[0])
+
+
+# cells (grid points x faultable gates) in one block of _pst_bounds: a
+# 7-config x 1,000-point tts on a 355-gate profile peaked at 38 MB of RSS
+# with 2^14 or 2^15, 40 MB with 2^16 and 55 MB with 2^20
+BLOCK_CELLS = 1 << 15
+
+
+def _pst_bounds(
+    profile: SensitivityProfile,
+    assignment: CodeAssignment,
+    p_grid,
+    params: ErrorModelParams,
+) -> np.ndarray:
+    """pst_bound at every p of the grid, in blocks of at most BLOCK_CELLS
+    cells (see the module docstring)."""
     if assignment.num_qubits != profile.num_qubits:
         raise AssignmentError("assignment does not match the profile's register")
+    grid = [float(p) for p in p_grid]
     faultable = [g for g in profile.gates if g.faultable]
     if not faultable:
-        return profile.pst_ideal
-    q_g = np.array(
-        [
-            site_error_prob(g.qubits, g.timestep, assignment, p, params)
-            for g in faultable
-        ]
-    )
+        return np.full(len(grid), profile.pst_ideal)
+    patches = [
+        tuple(assignment.distance_at(q, g.timestep) for q in g.qubits)
+        for g in faultable
+    ]
+    columns = {t: i for i, t in enumerate(dict.fromkeys(patches))}
+    gather = np.array([columns[t] for t in patches])
+    distances = sorted({d for t in columns for d in t})
     mean_noisy = np.array(
         [g.mean_relative_pst * profile.pst_ideal for g in faultable]
     )
-    ok = 1.0 - q_g
-    # prod over gates != i, robust to q_g == 1
-    prefix = np.concatenate([[1.0], np.cumprod(ok)])
-    suffix = np.concatenate([np.cumprod(ok[::-1])[::-1], [1.0]])
-    excl = prefix[:-1] * suffix[1:]
-    total = profile.pst_ideal * prefix[-1] + float(np.sum(q_g * excl * mean_noisy))
-    return float(total)
+    rows = max(1, BLOCK_CELLS // len(faultable))
+    out = np.empty(len(grid))
+    for start in range(0, len(grid), rows):
+        ps = grid[start : start + rows]
+        rate = {
+            d: np.array([logical_error_rate(p, d, params) for p in ps])
+            for d in distances
+        }
+        q = np.empty((len(ps), len(columns)))
+        for t, i in columns.items():
+            ok = 1.0
+            for d in t:
+                ok = ok * (1.0 - rate[d])
+            q[:, i] = 1.0 - ok
+        # take() returns a C-ordered block, where q[:, gather] would not, so
+        # np.sum(axis=1) adds each row in the order it adds one point's
+        q_g = q.take(gather, axis=1)
+        ok = 1.0 - q_g
+        # prod over gates != i, robust to q_g == 1
+        ones = np.ones((len(ps), 1))
+        prefix = np.hstack([ones, np.cumprod(ok, axis=1)])
+        suffix = np.hstack([np.cumprod(ok[:, ::-1], axis=1)[:, ::-1], ones])
+        excl = prefix[:, :-1] * suffix[:, 1:]
+        out[start : start + len(ps)] = profile.pst_ideal * prefix[:, -1] + np.sum(
+            q_g * excl * mean_noisy, axis=1
+        )
+    return out
 
 
 def latency(gates, assignment: CodeAssignment, include_resize: bool = True) -> int:
@@ -284,9 +311,11 @@ class TtsPoint:
     tts: float
 
 
-# a pst_bound call on the default config's profile (607 faultable gates)
-# took 0.5-0.9 ms, with host load (2 cores, Python 3.11, numpy 2.4), so
-# 10,000 points cost 5-9 s per config, 25-45 s for the default ladder of 5
+# the block sweep bounds 10,000 points of the default ladder (5 configs,
+# 607 faultable gates) in 0.6-0.8 s. A 7-config x 10,000-point `vdqec tts`
+# on a 355-gate profile takes 1.5-1.7 s at 65 MB, a third of it the bounds
+# and the rest building and rendering the points (2 cores, Python 3.11,
+# numpy 2.4)
 MAX_GRID_POINTS = 10_000
 
 
@@ -308,12 +337,14 @@ def sweep_tts(
     include_resize: bool = True,
 ) -> list[TtsPoint]:
     """Time-to-solution of every assignment across the error-rate grid,
-    ordered by assignment then by p."""
+    ordered by assignment then by p. The PST bounds of one assignment come
+    from one pass over (points x gates) blocks, each bitwise equal to
+    pst_bound at its p (see the module docstring)."""
     points = []
     for assignment in assignments:
         cycles = latency(profile.gates, assignment, include_resize)
-        for p in p_grid:
-            bound = pst_bound(profile, assignment, float(p), params)
+        bounds = _pst_bounds(profile, assignment, p_grid, params)
+        for p, bound in zip(p_grid, bounds.tolist()):
             points.append(
                 TtsPoint(
                     config=assignment.label,

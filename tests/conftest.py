@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import vdqec
-from vdqec.errors import CampaignError, ValidationError
+from vdqec.errors import AssignmentError, CampaignError, ValidationError
 from vdqec.inject import FaultSite
+from vdqec.qecc import DEFAULT_PARAMS, logical_error_rate
 from vdqec.sim import (
     Circuit,
     GateOp,
@@ -148,6 +149,42 @@ def exact_success_and_multi_mass(circuit, correct, assignment, p, params):
         return success, multi
 
     return go(0, zero_state(n).amplitudes, 1.0, 0)
+
+
+def site_error_prob(qubits, timestep, assignment, p, params=DEFAULT_PARAMS):
+    """Probability that at least one patch touched by a gate faults."""
+    ok = 1.0
+    for q in qubits:
+        d = assignment.distance_at(q, timestep)
+        ok *= 1.0 - logical_error_rate(p, d, params)
+    return 1.0 - ok
+
+
+def scalar_pst_bound(profile, assignment, p, params=DEFAULT_PARAMS):
+    """Oracle for the block PST sweep: the bound at one p, one gate at a
+    time with scalar rates, then 1-D cumprods and one np.sum. Every bound
+    sweep_tts and pst_bound return must equal this one with ==."""
+    if assignment.num_qubits != profile.num_qubits:
+        raise AssignmentError("assignment does not match the profile's register")
+    faultable = [g for g in profile.gates if g.faultable]
+    if not faultable:
+        return profile.pst_ideal
+    q_g = np.array(
+        [
+            site_error_prob(g.qubits, g.timestep, assignment, p, params)
+            for g in faultable
+        ]
+    )
+    mean_noisy = np.array(
+        [g.mean_relative_pst * profile.pst_ideal for g in faultable]
+    )
+    ok = 1.0 - q_g
+    # prod over gates != i, robust to q_g == 1
+    prefix = np.concatenate([[1.0], np.cumprod(ok)])
+    suffix = np.concatenate([np.cumprod(ok[::-1])[::-1], [1.0]])
+    excl = prefix[:-1] * suffix[1:]
+    total = profile.pst_ideal * prefix[-1] + float(np.sum(q_g * excl * mean_noisy))
+    return float(total)
 
 
 def table_scan_rz(theta, epsilon, max_length):

@@ -1,31 +1,35 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import exact_success_and_multi_mass
+from conftest import exact_success_and_multi_mass, scalar_pst_bound, site_error_prob
+from vdqec import qecc
 from vdqec.errors import AssignmentError, ValidationError
 from vdqec.inject import GateSummary, SensitivityProfile, run_campaign
+from vdqec.pipeline import RunConfig
 from vdqec.qecc import (
     CodeAssignment,
     ErrorModelParams,
     assign_two_distance,
     assignment_from_json,
     assignment_to_json,
+    ladder,
     latency,
     log_p_grid,
     logical_error_rate,
     pst_bound,
-    site_error_prob,
     sweep_tts,
     time_to_solution,
     uniform_assignment,
 )
 from vdqec.qpe import build_qpe
 from vdqec.sim import Circuit, GateOp
+from vdqec.synth import compile_circuit
 
 P_TH = 0.0057
 
@@ -263,3 +267,117 @@ def test_params_validation():
         ErrorModelParams(prefactor=0.0)
     with pytest.raises(ValidationError):
         log_p_grid(1e-2, 1e-5, 10)
+
+
+def _random_profile(rng, num_qubits, num_gates, faultable_share=0.85):
+    """A profile of 1- and 2-qubit gates, one per timestep, with random
+    mean relative PSTs; only sweep_tts reads it, no campaign made it."""
+    gates = []
+    for t in range(num_gates):
+        if num_qubits > 1 and rng.random() < 0.4:
+            kind = "CNOT"
+            qubits = tuple(int(q) for q in rng.choice(num_qubits, 2, replace=False))
+        else:
+            kind, qubits = "T", (int(rng.integers(num_qubits)),)
+        faultable = bool(rng.random() < faultable_share)
+        mean = float(rng.random()) if faultable else 1.0
+        gates.append(
+            GateSummary(t, kind, qubits, t, faultable, mean, mean, 3 * faultable)
+        )
+    pst_ideal = float(rng.uniform(0.2, 1.0))
+    return SensitivityProfile("digest", num_qubits, "mirrored", pst_ideal, (), tuple(gates))
+
+
+def _random_assignment(rng, num_qubits, num_timesteps):
+    """Each qubit starts at 3, 5 or 7 and may grow once or twice."""
+    schedules = []
+    for _ in range(num_qubits):
+        d = int(rng.choice([3, 5, 7]))
+        segs = [(0, d)]
+        k = min(2, num_timesteps - 1)
+        for start in sorted(rng.choice(range(1, num_timesteps), k, replace=False)):
+            if rng.random() < 0.5:
+                d += 2
+                segs.append((int(start), d))
+        schedules.append(tuple(segs))
+    return CodeAssignment("random", num_qubits, tuple(schedules))
+
+
+# reaches past every rate's clamp to 1, which d = 3 reaches last, at p = 0.033
+CLAMPING_GRID = np.concatenate([log_p_grid(1e-6, 0.9, 60), [P_TH, 0.5]])
+
+
+def _assert_sweep_is_scalar(profile, assignments, grid):
+    points = sweep_tts(profile, assignments, grid)
+    want = [scalar_pst_bound(profile, a, float(p)) for a in assignments for p in grid]
+    assert [pt.pst_bound for pt in points] == want
+    for a in assignments:
+        assert [pst_bound(profile, a, float(p)) for p in grid] == [
+            scalar_pst_bound(profile, a, float(p)) for p in grid
+        ]
+
+
+def test_sweep_is_bitwise_the_scalar_bound_on_random_profiles(rng):
+    for trial in range(12):
+        n = int(rng.integers(1, 7))
+        profile = _random_profile(rng, n, int(rng.integers(1, 120)))
+        assignments = [
+            uniform_assignment(n, 3),
+            assign_two_distance(profile, 3, 5, 0.5),
+            _random_assignment(rng, n, len(profile.gates) + 1),
+        ]
+        _assert_sweep_is_scalar(profile, assignments, CLAMPING_GRID)
+
+
+@pytest.fixture(scope="module")
+def default_profile():
+    cfg = RunConfig()
+    circuit, correct = build_qpe()
+    compiled = compile_circuit(circuit, cfg.synthesis_epsilon, cfg.max_length)
+    return run_campaign(compiled, correct, cfg.injection_mode)
+
+
+def test_sweep_is_bitwise_the_scalar_bound_on_default_ladder(default_profile):
+    cfg = RunConfig()
+    assignments = ladder(default_profile, cfg.distance_configs, cfg.tau)
+    grid = log_p_grid(cfg.p_min, cfg.p_max, cfg.p_points)
+    _assert_sweep_is_scalar(default_profile, assignments, grid)
+    _assert_sweep_is_scalar(default_profile, assignments[:2], CLAMPING_GRID)
+
+
+def test_sweep_is_bitwise_the_scalar_bound_on_uncompiled_profile():
+    _, profile = _profile()
+    assignments = ladder(profile, [[3], [3, 5], [5, 7], [7, 9]], 0.9)
+    _assert_sweep_is_scalar(profile, assignments, CLAMPING_GRID)
+
+
+def test_sweep_without_faultable_gates_is_the_ideal_pst(rng):
+    profile = _random_profile(rng, 2, 5, faultable_share=0.0)
+    points = sweep_tts(profile, [uniform_assignment(2, 3)], CLAMPING_GRID)
+    assert [pt.pst_bound for pt in points] == [profile.pst_ideal] * len(CLAMPING_GRID)
+
+
+@pytest.mark.parametrize("cells", [1, 1 << 24])
+def test_sweep_does_not_depend_on_block_size(rng, monkeypatch, cells):
+    profile = _random_profile(rng, 4, 90)
+    assignments = [uniform_assignment(4, 3), _random_assignment(rng, 4, 91)]
+    grid = log_p_grid(1e-6, 0.9, 333)
+    default = sweep_tts(profile, assignments, grid)
+    monkeypatch.setattr(qecc, "BLOCK_CELLS", cells)
+    assert sweep_tts(profile, assignments, grid) == default
+
+
+def test_sweep_memory_is_bounded(rng):
+    # 2,000 gates x 10,000 points would be 160 MB in one float64 block
+    profile = _random_profile(rng, 8, 2_300)
+    assert 1_900 <= sum(g.faultable for g in profile.gates) <= 2_100
+    assignment = _random_assignment(rng, 8, 2_301)
+    grid = log_p_grid(1e-6, 0.5, qecc.MAX_GRID_POINTS)
+    tracemalloc.start()
+    try:
+        points = sweep_tts(profile, [assignment], grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(points) == qecc.MAX_GRID_POINTS
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"

@@ -12,6 +12,7 @@ import math
 import os
 import re
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .errors import StaleCacheError, ValidationError, VdqecError
@@ -122,14 +123,7 @@ def cmd_qpe(args) -> int:
 
 def cmd_synth(args) -> int:
     report = approximate_rz(parse_theta(args.theta), args.epsilon, args.max_length)
-    doc = {
-        "sequence": report.sequence,
-        "target_theta": report.target_theta,
-        "achieved_distance": report.achieved_distance,
-        "length": report.length,
-        "converged": report.converged,
-    }
-    _emit(_json_bytes(doc), args.output)
+    _emit(_json_bytes(asdict(report)), args.output)
     return 0
 
 
@@ -216,65 +210,66 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags that several commands share, each declared once
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("-o", "--output", default=None)
+    length = argparse.ArgumentParser(add_help=False)
+    length.add_argument("--max-length", type=int, default=RunConfig.max_length)
+    profile = argparse.ArgumentParser(add_help=False)
+    profile.add_argument("--profile", required=True)
+    profile.add_argument("--circuit", default=None,
+                         help="verify the profile matches this circuit")
 
-    p = sub.add_parser("qpe", help="emit the phase estimation benchmark circuit")
+    p = sub.add_parser("qpe", parents=[length, output],
+                       help="emit the phase estimation benchmark circuit")
     p.add_argument("--counting", type=int, default=RunConfig.counting_qubits)
     p.add_argument("--phase-num", type=int, default=RunConfig.phase_num)
     p.add_argument("--phase-den", type=int, default=RunConfig.phase_den)
     p.add_argument("--compile", type=float, default=None, metavar="EPS",
                    help="also compile rotations to Clifford+T at this accuracy")
-    p.add_argument("--max-length", type=int, default=RunConfig.max_length)
-    p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_qpe)
 
-    p = sub.add_parser("synth", help="approximate one Rz rotation")
+    p = sub.add_parser("synth", parents=[length, output],
+                       help="approximate one Rz rotation")
     p.add_argument("--theta", required=True, help="radians; accepts 'pi/3' forms")
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--max-length", type=int, default=RunConfig.max_length)
-    p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("compile", help="rewrite a circuit over Clifford+T+CNOT")
+    p = sub.add_parser("compile", parents=[length, output],
+                       help="rewrite a circuit over Clifford+T+CNOT")
     p.add_argument("--circuit", required=True)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--max-length", type=int, default=RunConfig.max_length)
-    p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_compile)
 
-    p = sub.add_parser("simulate", help="exact output distribution of a circuit")
+    p = sub.add_parser("simulate", parents=[output],
+                       help="exact output distribution of a circuit")
     p.add_argument("--circuit", required=True)
     p.add_argument("--bitstring", default=None, help="also report the PST")
-    p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("inject", help="run an exhaustive fault campaign")
+    p = sub.add_parser("inject", parents=[output],
+                       help="run an exhaustive fault campaign")
     p.add_argument("--circuit", required=True)
     p.add_argument("--bitstring", default=None)
     p.add_argument("--mode", choices=list(MODES) + ["full"],
                    default=RunConfig.injection_mode)
-    p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_inject)
 
-    p = sub.add_parser("heatmap", help="render a profile as CSV and SVG")
-    p.add_argument("--profile", required=True)
-    p.add_argument("--circuit", default=None,
-                   help="verify the profile matches this circuit")
+    p = sub.add_parser("heatmap", parents=[profile],
+                       help="render a profile as CSV and SVG")
     p.add_argument("--out-csv", required=True)
     p.add_argument("--out-svg", required=True)
     p.set_defaults(func=cmd_heatmap)
 
-    p = sub.add_parser("assign", help="derive a two-distance code assignment")
-    p.add_argument("--profile", required=True)
-    p.add_argument("--circuit", default=None)
+    p = sub.add_parser("assign", parents=[profile, output],
+                       help="derive a two-distance code assignment")
     p.add_argument("--d-low", type=int, default=3)
     p.add_argument("--d-high", type=int, default=5)
     p.add_argument("--tau", type=float, default=RunConfig.tau)
-    p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_assign)
 
-    p = sub.add_parser("tts", help="time-to-solution sweep over error rates")
-    p.add_argument("--profile", required=True)
-    p.add_argument("--circuit", default=None)
+    p = sub.add_parser("tts", parents=[profile],
+                       help="time-to-solution sweep over error rates")
     p.add_argument("--configs", nargs="+",
                    default=[",".join(map(str, c)) for c in RunConfig.distance_configs],
                    help="distance configs, e.g. 3 or 3,5")

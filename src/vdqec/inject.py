@@ -40,6 +40,7 @@ from .errors import CampaignError, ValidationError, as_bool, as_int, as_real
 from .sim import (
     GATE_SIGNATURES,
     MAX_QUBITS,
+    MAX_TIMESTEP,
     MIN_PROB,
     Circuit,
     _apply,
@@ -344,8 +345,8 @@ def _check_consistent(profile: SensitivityProfile) -> None:
             bad(f"gate {i}: {g.kind!r} on {len(g.qubits)} qubit(s)")
         if any(not 0 <= q < n for q in g.qubits):
             bad(f"gate {i} touches a qubit outside [0, {n}): {g.qubits}")
-        if g.timestep < 0:
-            bad(f"gate {i} has negative timestep {g.timestep}")
+        if not 0 <= g.timestep < MAX_TIMESTEP:
+            bad(f"gate {i} has timestep {g.timestep} outside [0, 2**53)")
     sites = _sites(gates, profile.mode)
     if [rec.site for rec in profile.records] != sites:
         bad(f"the records are not the {len(sites)} {profile.mode} fault sites "

@@ -55,6 +55,10 @@ GATE_SIGNATURES = {kind: gate[:2] for kind, gate in _GATES.items()}
 
 MAX_QUBITS = 12
 
+# timesteps stay below 2**53, where every one is a float and the heatmap's
+# coordinates are finite
+MAX_TIMESTEP = 2**53
+
 # outcomes with at most this probability are left out of a distribution
 MIN_PROB = 1e-15
 
@@ -88,8 +92,10 @@ class GateOp:
         object.__setattr__(
             self, "params", tuple(as_real(p, "parameter") for p in self.params)
         )
-        if as_int(self.timestep, "timestep") < 0:
-            raise InvalidCircuitError(f"timestep must be >= 0, got {self.timestep}")
+        if not 0 <= as_int(self.timestep, "timestep") < MAX_TIMESTEP:
+            raise InvalidCircuitError(
+                f"timestep must be in [0, 2**53), got {self.timestep}"
+            )
         as_bool(self.faultable, "faultable")
         if self.kind not in GATE_SIGNATURES:
             raise InvalidCircuitError(f"unknown gate kind {self.kind!r}")

@@ -307,7 +307,7 @@ def compile_circuit(
                 f"(epsilon {epsilon:.3e})"
             )
         for c in report.sequence:
-            out.append(GateOp(KIND_OF_SYMBOL[c], (qubit,), (), 0, faultable))
+            out.append(GateOp(KIND_OF_SYMBOL[c], (qubit,), (), len(out), faultable))
 
     for i, op in enumerate(circuit.ops):
         if op.kind == "Rz":
@@ -317,11 +317,9 @@ def compile_circuit(
             theta = op.params[0]
             emit_rz(theta / 2.0, ctrl, op.faultable, i)
             emit_rz(theta / 2.0, targ, op.faultable, i)
-            out.append(GateOp("CNOT", (ctrl, targ), (), 0, op.faultable))
+            out.append(GateOp("CNOT", (ctrl, targ), (), len(out), op.faultable))
             emit_rz(-theta / 2.0, targ, op.faultable, i)
-            out.append(GateOp("CNOT", (ctrl, targ), (), 0, op.faultable))
+            out.append(GateOp("CNOT", (ctrl, targ), (), len(out), op.faultable))
         else:
-            out.append(op)
-
-    renumbered = tuple(replace(op, timestep=t) for t, op in enumerate(out))
-    return Circuit(circuit.num_qubits, renumbered, circuit.measured_qubits)
+            out.append(replace(op, timestep=len(out)))
+    return Circuit(circuit.num_qubits, tuple(out), circuit.measured_qubits)

@@ -248,6 +248,8 @@ def test_tts_and_assign_reproduce_the_pipeline_ladder(tmp_path):
     {"p_points": 10**7},
     {"prefactor": 10**400},
     {"distance_configs": ((3,), (3,))},
+    {"distance_configs": ((2**53 + 1,),)},
+    {"distance_configs": tuple((d,) for d in range(3, 37, 2))},
 ])
 def test_run_config_rejects_bad_values_at_construction(kwargs):
     with pytest.raises(ValidationError):
@@ -310,6 +312,21 @@ PROFILE_1Q = {
      ["compile", "--circuit", "{in}", "--epsilon", "0.1", "--max-length", "8"]),
     ({**QPE_2Q, "correct_bitstring": "1"},
      ["compile", "--circuit", "{in}", "--epsilon", "0.1", "--max-length", "8"]),
+    ({**PROFILE_1Q, "gates": [[0, "H", [0], 0, False, 1.0, 1.0, 0]]},
+     ["tts", "--profile", "{in}", "--configs", str(10**400 + 1), "--out-csv", "{out}.csv"]),
+    ({**PROFILE_1Q, "gates": [[0, "H", [0], 0, False, 1.0, 1.0, 0]]},
+     ["assign", "--profile", "{in}", "--d-high", str(2**53 + 1)]),
+    ({**QUICK_CONFIG, "distance_configs": [[3, 2**53 + 1]]},
+     ["pipeline", "--config", "{in}", "--out-dir", "{out}"]),
+    ({**PROFILE_1Q, "gates": [[0, "H", [0], 0, False, 1.0, 1.0, 0]]},
+     ["tts", "--profile", "{in}", "--configs", *map(str, range(3, 37, 2)),
+      "--out-csv", "{out}.csv"]),
+    ({**QUICK_CONFIG, "distance_configs": [[d] for d in range(3, 37, 2)]},
+     ["pipeline", "--config", "{in}", "--out-dir", "{out}"]),
+    ({**CIRCUIT_1Q, "ops": [{"kind": "H", "qubits": [0], "timestep": 10**400}]},
+     ["inject", "--circuit", "{in}", "--bitstring", "0"]),
+    ({**PROFILE_1Q, "gates": [[0, "H", [0], 10**400, False, 1.0, 1.0, 0]]},
+     ["heatmap", "--profile", "{in}", "--out-csv", "{out}.csv", "--out-svg", "{out}.svg"]),
 ], ids=["config-list", "config-str-int", "timestep-str", "rz-nan", "shared-cell",
         "missing-dir", "theta-nan", "qubit-float", "num-qubits-float",
         "faultable-str", "timestep-inf", "profile-timestep-inf", "record-index-float",
@@ -318,7 +335,9 @@ PROFILE_1Q = {
         "timestep-negative", "profile-timestep-negative", "compile-epsilon-negative",
         "compile-max-length-0", "tts-configs-repeat", "bitstring-int-simulate",
         "bitstring-int-inject", "bitstring-list-compile", "bitstring-bad-compile",
-        "bitstring-short-compile"])
+        "bitstring-short-compile", "tts-distance-past-float", "assign-distance-2**53",
+        "pipeline-distance-2**53", "tts-17-configs", "pipeline-17-configs",
+        "timestep-past-float", "profile-timestep-past-float"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, doc, argv):
     paths = {"in": str(tmp_path / "in.json"), "out": str(tmp_path / "out")}
     if doc is not None:
@@ -441,3 +460,47 @@ def test_compile_failure_exits_1(tmp_path, capsys):
     )
     assert code == 1
     assert "distance" in capsys.readouterr().err
+
+
+# the flags of each sub-command, as `vdqec <cmd> --help` listed them before
+# the shared flags were declared once as parent parsers
+HELP_FLAGS = {
+    "qpe": "--compile --counting --max-length --output --phase-den --phase-num -o",
+    "synth": "--epsilon --max-length --output --theta -o",
+    "compile": "--circuit --epsilon --max-length --output -o",
+    "simulate": "--bitstring --circuit --output -o",
+    "inject": "--bitstring --circuit --mode --output -o",
+    "heatmap": "--circuit --out-csv --out-svg --profile",
+    "assign": "--circuit --d-high --d-low --output --profile --tau -o",
+    "tts": "--circuit --configs --no-resize --out-csv --out-svg --p-max --p-min "
+           "--p-points --prefactor --profile --tau --threshold",
+    "pipeline": "--config --out-dir --threads",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_FLAGS))
+def test_help_lists_each_commands_flags(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run(command, "--help")
+    assert exit_info.value.code == 0
+    options = capsys.readouterr().out.split("options:", 1)[1]
+    flags = set(re.findall(r"(?:^|\s)(--?[a-z][-a-z]*)", options)) - {"-h", "--help"}
+    assert flags == set(HELP_FLAGS[command].split())
+
+
+def test_synth_output_is_locked(capsys):
+    # sha256 of the document printed before it was written from the
+    # report's dataclass fields
+    assert run("synth", "--theta", "pi/3", "--epsilon", "0.01") == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "b8a45cfd492489fcf114f48c0d2269025c29c77c404b13cd8ce28c57374e8880"
+    )
+
+
+def test_profile_timestep_stays_below_2_pow_53():
+    gate = [0, "H", [0], 2**53 - 1, False, 1.0, 1.0, 0]
+    profile_from_json({**PROFILE_1Q, "gates": [gate]})
+    gate[3] = 2**53
+    with pytest.raises(ValidationError):
+        profile_from_json({**PROFILE_1Q, "gates": [gate]})

@@ -54,6 +54,24 @@ def test_rate_past_float_range_clamps_to_one():
     assert logical_error_rate(0.01, 100001) == 1.0
 
 
+def test_distance_past_float_range_is_refused():
+    # for 10**400 + 1, (d + 1) / 2 overflows a float, and the rate was
+    # answered 1.0 even far below threshold, where the model gives 0.0
+    assert logical_error_rate(1e-5, 2**53 - 1) == 0.0
+    for d in (2**53 + 1, 10**400 + 1):
+        with pytest.raises(AssignmentError):
+            logical_error_rate(1e-5, d)
+        with pytest.raises(AssignmentError):
+            uniform_assignment(2, d)
+
+
+def test_ladder_holds_at_most_max_configs():
+    configs = [[d] for d in range(3, 3 + 2 * qecc.MAX_CONFIGS, 2)]
+    assert len(qecc.ladder_configs(configs)) == qecc.MAX_CONFIGS == 16
+    with pytest.raises(ValidationError):
+        qecc.ladder_configs(configs + [[99]])
+
+
 def test_rate_validates_inputs():
     with pytest.raises(ValidationError):
         logical_error_rate(0.0, 3)

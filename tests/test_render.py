@@ -1,12 +1,16 @@
 import csv
+import hashlib
 import io
+import math
 import re
+from xml.etree import ElementTree
 
 import numpy as np
+import pytest
 
 from conftest import with_faultable
 from vdqec.inject import run_campaign
-from vdqec.qecc import log_p_grid, sweep_tts, uniform_assignment
+from vdqec.qecc import TtsPoint, log_p_grid, sweep_tts, uniform_assignment
 from vdqec.qpe import build_qpe
 from vdqec.render import (
     curves_svg_bytes,
@@ -14,6 +18,7 @@ from vdqec.render import (
     heatmap_svg_bytes,
     sweep_csv_bytes,
 )
+from vdqec.sim import Circuit, GateOp, output_distribution, simulate
 
 
 def qpe_profile():
@@ -130,3 +135,82 @@ def test_curves_svg_skips_infinite_points():
     svg = curves_svg_bytes(capped).decode()
     for m in re.findall(r'points="([^"]+)"', svg):
         assert "inf" not in m
+
+
+def untouched_qubit_profile():
+    """Three qubits; qubit 1 has no gate, and the two CNOTs point down and
+    up the register."""
+    circuit = Circuit(3, (
+        GateOp("X", (0,), timestep=0),
+        GateOp("CNOT", (0, 2), timestep=1),
+        GateOp("T", (2,), timestep=2),
+        GateOp("CNOT", (2, 0), timestep=3),
+    ), (0, 1, 2))
+    dist = output_distribution(simulate(circuit), circuit.measured_qubits)
+    return run_campaign(circuit, max(dist, key=dist.get), "full-depolarizing")
+
+
+def sweep(config_p_tts):
+    return [TtsPoint(config, p, 100, 0.5, tts) for config, p, tts in config_p_tts]
+
+
+GRID = [float(p) for p in log_p_grid(1e-5, 1e-2, 5)]
+# inputs that the locked pipeline manifests do not reach
+RENDER_INPUTS = {
+    "untouched-qubit": untouched_qubit_profile,
+    "all-tts-infinite": lambda: sweep([("d=3", p, math.inf) for p in GRID]),
+    "one-config": lambda: sweep([("d=3,5", p, 100.0 / (1 - 40 * p)) for p in GRID]),
+    "flat-p": lambda: sweep([("d=3", 1e-3, 10.0), ("d=5", 1e-3, 1000.0)]),
+    "flat-tts": lambda: sweep([("d=3", 1e-4, 200.0), ("d=3", 1e-3, 200.0)]),
+}
+
+
+def render_all(name):
+    data = RENDER_INPUTS[name]()
+    if name == "untouched-qubit":
+        return heatmap_csv_bytes(data), heatmap_svg_bytes(data)
+    return sweep_csv_bytes(data), curves_svg_bytes(data)
+
+
+# sha256 of (CSV, SVG) for each input, taken before the writers were
+# rebuilt on one element writer and one CSV writer
+LOCKED_RENDERS = {
+    "untouched-qubit": (
+        "f1a0d093aec3ef5231865d751b3090714900346d56ab10e62fb542e8b887f6fb",
+        "d40aaa176f44f1221b6ffc98d8ad3f334c057c93ebd1799da2617a37323fe836",
+    ),
+    "all-tts-infinite": (
+        "c5c122209b6861cdd84dea9673b0ce86f8f121fcf68e0218c8f212a786189723",
+        "38ed98825d1f92dde41243e29bdc35cf1f9907177c8ef21a235813d950859fd1",
+    ),
+    "one-config": (
+        "1343566290a9c9681d621d54097420e94deeac27273223698b124f38aa7cd53c",
+        "4eb81a592b33933b0f7c779fc5942986db7c46059df1eb3aa50c12a710346411",
+    ),
+    "flat-p": (
+        "e2202fa812bf30359652b3b195397e655db25fb1b553293f7aa4b0f316b21951",
+        "4ce34abb3950b2135f9e20d95c819ee8fc9298c407578ddcb18485c4ed5e1469",
+    ),
+    "flat-tts": (
+        "3c818f40de5dfe2fef42c5e8d746b6edf685c060092cd7c35f5ee620c6ececd2",
+        "85a800fac2047354e868c8993ca917ab6b84f9231787ba639dbf5c5f3617aa72",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(LOCKED_RENDERS))
+def test_render_bytes_are_locked(name):
+    digests = tuple(hashlib.sha256(data).hexdigest() for data in render_all(name))
+    assert digests == LOCKED_RENDERS[name]
+
+
+@pytest.mark.parametrize("name", list(RENDER_INPUTS))
+def test_every_svg_is_well_formed_xml(name):
+    root = ElementTree.fromstring(render_all(name)[1])
+    assert root.tag == "{http://www.w3.org/2000/svg}svg"
+
+
+def test_qpe_charts_are_well_formed_xml():
+    _, profile = qpe_profile()
+    for svg in (heatmap_svg_bytes(profile), curves_svg_bytes(sweep_points())):
+        ElementTree.fromstring(svg)

@@ -171,6 +171,10 @@ def test_gateop_validation():
     for value in (np.nan, np.inf, -np.inf):
         with pytest.raises(InvalidCircuitError):
             GateOp("Rz", (0,), (value,))
+    GateOp("H", (0,), timestep=2**53 - 1)
+    for t in (2**53, 10**400):
+        with pytest.raises(InvalidCircuitError):
+            GateOp("H", (0,), timestep=t)
 
 
 def test_circuit_validation():

@@ -311,3 +311,10 @@ def test_compile_error_names_the_gate():
 
 def test_default_max_length_is_locked():
     assert DEFAULT_MAX_LENGTH == 34
+
+
+def test_compile_numbers_timesteps_in_order():
+    circuit, _ = build_qpe(QpeSpec(2, 1, 4))
+    compiled = compile_circuit(circuit, 0.1, 12)
+    assert len(compiled.ops) > len(circuit.ops)
+    assert [op.timestep for op in compiled.ops] == list(range(len(compiled.ops)))

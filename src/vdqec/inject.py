@@ -9,18 +9,32 @@ the qubits the gate touches. Two enumeration modes exist:
     gates (15 combinations); single-qubit gates get X, Y, Z either way.
 
 Each injected run is simulated exactly and scored by the probability of
-still reading the correct bitstring, relative to the noiseless run. One
-readout, bitwise equal to pst(output_distribution(...)), scores the
-noiseless run and every fault site. The
-campaign caches the noiseless state after every gate and replays the
-sites in chunks: consecutive sites whose states together hold at most
-_BLOCK_AMPS amplitudes share one (2^n, B) block, one column per site.
-A site's column joins the block at its gate, as the Pauli image of the
-cached state there, and every later gate is applied once to the whole
-block. On 4 or more qubits each column comes out bitwise equal to a
-replay of its site alone, so the records do not depend on the chunk
-size; on fewer, the BLAS product of a block can round differently from
-that of one state, by a few 1e-16.
+still reading the correct bitstring, relative to the noiseless run. The
+campaign caches the noiseless state psi_g after every gate g, and the
+Pauli image P.psi_g of a site at g is the faulty run's state there. The
+fault sites are scored by one of two sweeps, which agree to within 1e-12:
+
+  * the adjoint sweep walks the R = 2^(n-m) basis states that read the
+    correct bitstring (m measured qubits) backwards through the adjoint
+    gates once, and scores a site at g as sum_r |<phi_r|P.psi_g>|^2,
+    with phi_r the row walked back to gate g (Jones and Gacon,
+    arXiv:2009.02823); it costs about R(G + S) column-gate products for
+    G gates and S sites;
+  * the block replay replays consecutive sites together in one (2^n, B)
+    block, one column per site: a column joins the block at its gate and
+    every later gate is applied once to the whole block; it costs the
+    sum over sites of the gates after each site's own.
+
+run_campaign takes the adjoint sweep when its cost is at most the
+replay's, as for the QPE benchmarks (R = 2), and the block replay
+otherwise, as when few qubits are measured. Both hold at most
+_BLOCK_AMPS amplitudes in a block of columns. On 4 or more qubits a
+replayed column comes out bitwise equal to a replay of its site alone,
+so those records do not depend on the chunk size; on fewer, the BLAS
+product of a block can round differently from that of one state, by a
+few 1e-16. The adjoint sweep's overlaps can likewise round differently
+with the number of rows in a block, by a few 1e-16. One readout, bitwise equal to pst(output_distribution(...)),
+scores the noiseless run and every replayed site.
 The campaign aggregates records into spatio-temporal cells keyed by
 (qubit, timestep): the mean relative PST over every error type at the
 gates touching that cell. Cells of non-faultable gates report 1.0 with
@@ -59,12 +73,14 @@ MODES = ("mirrored", "full-depolarizing")
 _TOL = 1e-12
 # (mean, min, count) reported for a gate without records
 _NO_RECORDS = (1.0, 1.0, 0)
-# amplitudes in one replay block (chunk columns times 2^n). The 9-qubit
-# qpe8-full campaign (1,737 sites, 497 gates) took 1.6-1.8 s at 4096,
-# 1.1-1.2 s at 8192, 1.0-2.3 s at 16384 and 2.5 s at 2^20, where peak RSS
-# rose from 39 to 95 MB: a block that outgrows the CPU caches costs more
-# than the calls it saves. 8192 costs about 0.4 MB more peak RSS than 4096
-# (numpy 2.4, 2 cores, fresh process per run)
+# amplitudes in one block of either sweep (columns times 2^n). The block
+# replay of QPE with 8 counting qubits at eps 0.1 and one measured qubit
+# (256 rows, 497 gates, 1,737 full-depolarizing sites) took 1.9 s at 4096,
+# 1.3 s at 8192, 2.0 s at 16384, 2.7 s at 2^16 and 3.5 s at 2^20, where
+# peak RSS rose from 39 to 105 MB: a block that outgrows the CPU caches
+# costs more than the calls it saves. With 11 counting qubits (2,048 rows,
+# 692 gates, 1,668 mirrored sites) it took 29.8, 20.6, 19.3 and 28.9 s at
+# 4096, 8192, 16384 and 2^16 (numpy 2.4, 2 cores, fresh process per run)
 _BLOCK_AMPS = 8192
 
 
@@ -160,34 +176,80 @@ def _sites(gates, mode: str) -> list[FaultSite]:
     return sites
 
 
-def _chunk_psts(circuit: Circuit, prefixes, chunk, rows) -> list[float]:
-    """PST of each site of `chunk` (consecutive sites in gate order):
-    a site's column joins the block at its gate and every later gate is
+def _image(amps, n, op, paulis):
+    """The Pauli image of amps, the cached state after `op`: paulis[i]
+    acts on op.qubits[i]."""
+    for p, q in zip(paulis, op.qubits):
+        if p != "I":
+            amps = _apply(amps, n, (q,), gate_matrix(p))
+    return amps
+
+
+def _replay_psts(circuit: Circuit, prefixes, sites, rows) -> list[float]:
+    """PST of each site by block replay: chunks of at most
+    max(1, _BLOCK_AMPS >> n) consecutive sites share one (2^n, B) block.
+    A site's column joins the block at its gate and every later gate is
     applied once to the block. rows lists the basis states that read the
     correct bitstring, in ascending order."""
     n, ops = circuit.num_qubits, circuit.ops
-    block, k = None, 0
-    for g in range(chunk[0].gate_index, len(ops)):
-        if block is not None:
-            block = _apply_op(block, n, ops[g])
-        cols = []
-        while k < len(chunk) and chunk[k].gate_index == g:
-            amps = prefixes[g]
-            for p, q in zip(chunk[k].paulis, ops[g].qubits):
-                if p != "I":
-                    amps = _apply(amps, n, (q,), gate_matrix(p))
-            cols.append(amps)
-            k += 1
-        if cols:
-            block = np.column_stack(cols if block is None else [block, *cols])
-    return _readout(block, rows)
+    width = max(1, _BLOCK_AMPS >> n)
+    psts = []
+    for start in range(0, len(sites), width):
+        chunk = sites[start:start + width]
+        block, k = None, 0
+        for g in range(chunk[0].gate_index, len(ops)):
+            if block is not None:
+                block = _apply_op(block, n, ops[g])
+            cols = []
+            while k < len(chunk) and chunk[k].gate_index == g:
+                cols.append(_image(prefixes[g], n, ops[g], chunk[k].paulis))
+                k += 1
+            if cols:
+                block = np.column_stack(cols if block is None else [block, *cols])
+        psts += _readout(block, rows)
+    return psts
+
+
+def _adjoint_psts(circuit: Circuit, prefixes, sites, rows) -> list[float]:
+    """PST of each site by one backward sweep: the basis states of `rows`
+    walk back through the adjoint gates, in column blocks of at most
+    max(1, _BLOCK_AMPS >> n) rows. At gate g a block holds
+    phi_r = U_{g+1}^dagger ... U_{G-1}^dagger |r>, and a site at g with
+    Pauli image P scores sum_r |<phi_r | P psi_g>|^2, where psi_g is the
+    cached state after gate g (arXiv:2009.02823)."""
+    n, ops = circuit.num_qubits, circuit.ops
+    width = max(1, _BLOCK_AMPS >> n)
+    at_gate: dict[int, list[int]] = {}
+    for i, site in enumerate(sites):
+        at_gate.setdefault(site.gate_index, []).append(i)
+    first = min(at_gate, default=len(ops))
+    mass = np.zeros(len(sites))
+    for start in range(0, len(rows), width):
+        cols = rows[start:start + width]
+        phi = np.zeros((1 << n, len(cols)), dtype=complex)
+        phi[cols, np.arange(len(cols))] = 1.0
+        for g in range(len(ops) - 1, first - 1, -1):
+            if g in at_gate:
+                bra = phi.conj().T
+                for i in at_gate[g]:
+                    amps = bra @ _image(prefixes[g], n, ops[g], sites[i].paulis)
+                    mass[i] += np.sum(np.abs(amps) ** 2)
+            if g > first:
+                op = ops[g]
+                phi = _apply(phi, n, op.qubits, gate_matrix(op.kind, op.params).conj().T)
+    return _above_min_prob(mass)
 
 
 def _readout(block, rows) -> list[float]:
     """PST of each column of a (2^n, B) block, as pst(output_distribution)
     gives it: cumsum adds the rows in ascending order, as np.add.at does,
     while np.sum and a single-column np.add.reduce add pairwise."""
-    mass = np.cumsum(np.abs(block[rows]) ** 2, axis=0)[-1]
+    return _above_min_prob(np.cumsum(np.abs(block[rows]) ** 2, axis=0)[-1])
+
+
+def _above_min_prob(mass) -> list[float]:
+    """Each mass as a float, with those at most MIN_PROB set to 0.0, as
+    output_distribution leaves them out."""
     return [float(m) if m > MIN_PROB else 0.0 for m in mass]
 
 
@@ -208,9 +270,9 @@ def run_campaign(
 ) -> SensitivityProfile:
     """Simulate every fault site exactly and aggregate the results.
 
-    The sites of enumerate_sites are replayed in chunks of at most
-    max(1, _BLOCK_AMPS >> n) consecutive sites, each chunk as one block
-    of states (see the module docstring).
+    The sites of enumerate_sites are scored by the adjoint sweep or by
+    the block replay, whichever needs fewer column-gate products (see
+    the module docstring).
     """
     if not circuit.ops:
         raise CampaignError("circuit has no gates to inject into")
@@ -232,10 +294,12 @@ def run_campaign(
         )
 
     sites = enumerate_sites(circuit, mode)
-    width = max(1, _BLOCK_AMPS >> n)
-    noisy = []
-    for start in range(0, len(sites), width):
-        noisy += _chunk_psts(circuit, prefixes, sites[start:start + width], rows)
+    # column-gate products: the backward sweep walks R rows through every
+    # gate and takes R overlaps per site; the replay walks each site's
+    # column through the gates after its own
+    replayed = sum(len(circuit.ops) - 1 - s.gate_index for s in sites)
+    adjoint = len(rows) * (len(circuit.ops) + len(sites)) <= replayed
+    noisy = (_adjoint_psts if adjoint else _replay_psts)(circuit, prefixes, sites, rows)
 
     records = tuple(
         SensitivityRecord(site, p_noisy, p_noisy / pst_ideal)

@@ -67,6 +67,12 @@ def _svg(width: float, height: float, parts: list[str]) -> bytes:
     return f'<?xml version="1.0" encoding="UTF-8"?>\n{svg}\n'.encode()
 
 
+def _num(x) -> str:
+    """A CSV cell for a float, also a NumPy scalar: the shortest repr that
+    reads back as the same float."""
+    return repr(float(x))
+
+
 def _csv(header: list[str], rows) -> bytes:
     """CRLF-terminated CSV: the header, then one line per row."""
     buf = io.StringIO()
@@ -97,7 +103,7 @@ def heatmap_rows(profile: SensitivityProfile) -> list[tuple[int, int, float, int
 def heatmap_csv_bytes(profile: SensitivityProfile) -> bytes:
     return _csv(
         ["qubit", "timestep", "mean_relative_pst", "n_records", "min_relative_pst"],
-        ((q, t, repr(mean), n, repr(low))
+        ((q, t, _num(mean), n, _num(low))
          for q, t, mean, n, low in heatmap_rows(profile)),
     )
 
@@ -157,7 +163,7 @@ def heatmap_svg_bytes(profile: SensitivityProfile) -> bytes:
 def sweep_csv_bytes(points: list[TtsPoint]) -> bytes:
     return _csv(
         ["config", "p", "latency_cycles", "pst_bound", "tts"],
-        ((pt.config, repr(pt.p), pt.latency_cycles, repr(pt.pst_bound), repr(pt.tts))
+        ((pt.config, _num(pt.p), pt.latency_cycles, _num(pt.pst_bound), _num(pt.tts))
          for pt in points),
     )
 

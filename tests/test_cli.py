@@ -167,27 +167,34 @@ def test_pipeline_writes_all_artifacts(tmp_path):
     assert set(manifest["artifacts"]) == names - {"manifest.json"}
 
 
-# sha256 of manifest.json for three reference configs: the criterion-9 run
-# (mirrored campaign, 6 qubits), the qpe8-full benchmark config at seed 1
-# (full-depolarizing campaign, 9 qubits) and the qpe5-mirrored benchmark
-# config at seed 1 (eps 0.03 synthesis, mirrored campaign on long
-# sequences); a change that moves artifact bytes on purpose updates them
+# sha256 of manifest.json for five reference configs: the default run, the
+# criterion-9 run (mirrored campaign, 6 qubits), the qpe8-full benchmark
+# config at seed 1 (full-depolarizing campaign, 9 qubits), the
+# qpe5-mirrored benchmark config at seed 1 (eps 0.03 synthesis, mirrored
+# campaign on long sequences) and QPE with 11 counting qubits (mirrored
+# campaign, 12 qubits, the largest register). Every one takes the adjoint
+# sweep. A change that moves artifact bytes on purpose updates the digests
 # and records why
 LOCKED_MANIFESTS = {
-    "default": ({}, "8aee4dc6945c059042edad5e9a2ef8b10eaf8c98efdc7a0c46c30a10f885fc06"),
+    "default": ({}, "a8eb3c78f3878c870038220982d7f1e06d5012596b14c0559ece99e9bd06d25f"),
     "criterion-9": (
         {"synthesis_epsilon": 0.12, "max_length": 25, "p_points": 25},
-        "db174dea5993ac5e0c198c9161cb4e642ca9081e955ad63ef2be0d5fefecbcd0",
+        "ecb4967453b2abe053de937e61cb9a17ba00143f34a340bcb5a0240f10c0be36",
     ),
     "qpe8-full": (
         {"counting_qubits": 8, "phase_num": 69, "phase_den": 256,
          "synthesis_epsilon": 0.1, "injection_mode": "full-depolarizing"},
-        "cb382dff0d2fed981698fc90b89e39b46505dc7f0c99974f04cb2b563224b1e1",
+        "56690ee68ac2492ce359b426b3e1215f77be217dcb892f6855995d47c1dc13bf",
     ),
     "qpe5-mirrored": (
         {"counting_qubits": 5, "phase_num": 9, "phase_den": 32,
          "synthesis_epsilon": 0.03, "injection_mode": "mirrored"},
-        "b17e76ca8f3c5aed0b8bc2fc2d50ad744b660b4d0ed1c98f850dcba4e0110986",
+        "812b4908f8d1f26a25302e549c13303127432adeaf2c72727f350cd2c6c7a816",
+    ),
+    "qpe11-mirrored": (
+        {"counting_qubits": 11, "phase_num": 3, "phase_den": 2048,
+         "synthesis_epsilon": 0.1, "injection_mode": "mirrored"},
+        "bd79b32a7d3e755270f267060de914fc1a238124a6968833e0f29842c16a5ff1",
     ),
 }
 

@@ -18,9 +18,12 @@ from vdqec.sim import (
     MAX_QUBITS,
     Circuit,
     GateOp,
+    _apply_op,
+    _outcome_keys,
     output_distribution,
     pst,
     simulate,
+    zero_state,
 )
 
 
@@ -180,16 +183,80 @@ def test_block_replay_matches_reference_and_ignores_block_size(monkeypatch, n, m
                 assert a.relative_pst == pytest.approx(b.relative_pst, abs=1e-12)
 
 
+def sweep_inputs(circuit, correct):
+    """The cached state after every gate and the basis states that read
+    `correct`, as run_campaign hands them to a sweep."""
+    n = circuit.num_qubits
+    amps, prefixes = zero_state(n).amplitudes, []
+    for op in circuit.ops:
+        amps = _apply_op(amps, n, op)
+        prefixes.append(amps)
+    rows = np.flatnonzero(_outcome_keys(n, circuit.measured_qubits) == int(correct, 2))
+    return prefixes, rows
+
+
+SWEEPS = ["_adjoint_psts", "_replay_psts"]
+
+
+@pytest.mark.parametrize("sweep", SWEEPS)
+@pytest.mark.parametrize("mode", ["mirrored", "full-depolarizing"])
+@pytest.mark.parametrize("n, measured", BLOCK_CASES, ids=[f"n{n}" for n, _ in BLOCK_CASES])
+def test_each_sweep_matches_reference(monkeypatch, n, measured, mode, sweep):
+    # 64 columns per block at n = 12: the adjoint sweep walks its 2,048 rows
+    # as 32 blocks and builds each Pauli image 32 times, 3-5 s a mode; at
+    # the default 2 columns it builds them 1,024 times, 8-19 s a mode
+    monkeypatch.setattr(inject_module, "_BLOCK_AMPS", 2**18)
+    circuit, correct = random_circuit(n, 18, 100 + n, measured)
+    sites = enumerate_sites(circuit, mode)
+    prefixes, rows = sweep_inputs(circuit, correct)
+    noisy = getattr(inject_module, sweep)(circuit, prefixes, sites, rows)
+    ideal = pst(output_distribution(simulate(circuit), circuit.measured_qubits), correct)
+    assert len(noisy) == len(sites)
+    for site, p_noisy in zip(sites, noisy):
+        ref = relative_pst_of_injection(circuit, site, correct)
+        assert p_noisy / ideal == pytest.approx(ref, abs=1e-12)
+
+
+def refuse(name):
+    def sweep(*args):
+        raise AssertionError(f"{name} ran")
+    return sweep
+
+
+# column-gate products, mirrored: the adjoint sweep on the default QPE
+# circuit walks 2 rows through 26 gates for 45 sites (142) where the
+# replay takes 315; on the (12, 1) case of BLOCK_CASES it walks 2,048 rows
+# through 18 gates for 54 sites (147,456) where the replay takes 459
+CHOICES = {
+    "qpe": (build_qpe, "_adjoint_psts"),
+    "n12": (lambda: random_circuit(12, 18, 112, 1), "_replay_psts"),
+}
+
+
+@pytest.mark.parametrize("mode", ["mirrored", "full-depolarizing"])
+@pytest.mark.parametrize("case", list(CHOICES))
+def test_campaign_takes_the_cheaper_sweep(monkeypatch, case, mode):
+    build, taken = CHOICES[case]
+    circuit, correct = build()
+    expected = run_campaign(circuit, correct, mode)
+    (other,) = set(SWEEPS) - {taken}
+    monkeypatch.setattr(inject_module, other, refuse(other))
+    assert run_campaign(circuit, correct, mode) == expected
+
+
 def test_block_replay_edge_cases(monkeypatch):
     circuit, correct = random_circuit(7, 18, 107, 5)
-    quiet = run_campaign(with_faultable(circuit, False), correct, "full-depolarizing")
+    quiet_circuit = with_faultable(circuit, False)
+    quiet = run_campaign(quiet_circuit, correct, "full-depolarizing")
     assert quiet.records == ()
     assert all(g.n_records == 0 for g in quiet.gates)
+    sites = enumerate_sites(quiet_circuit, "full-depolarizing")
+    prefixes, rows = sweep_inputs(quiet_circuit, correct)
+    for sweep in SWEEPS:
+        assert getattr(inject_module, sweep)(quiet_circuit, prefixes, sites, rows) == []
 
-    def no_replay(*args):
-        raise AssertionError("a site was replayed")
-
-    monkeypatch.setattr(inject_module, "_chunk_psts", no_replay)
+    for sweep in SWEEPS:
+        monkeypatch.setattr(inject_module, sweep, refuse(sweep))
     for bad in (correct + "0", correct[1:], correct[:-1] + "2"):
         with pytest.raises(ValidationError):
             run_campaign(circuit, bad, "full-depolarizing")

@@ -3,6 +3,7 @@ import hashlib
 import io
 import math
 import re
+from dataclasses import replace
 from xml.etree import ElementTree
 
 import numpy as np
@@ -214,3 +215,21 @@ def test_qpe_charts_are_well_formed_xml():
     _, profile = qpe_profile()
     for svg in (heatmap_svg_bytes(profile), curves_svg_bytes(sweep_points())):
         ElementTree.fromstring(svg)
+
+
+def test_csv_cells_of_numpy_scalars_are_numbers():
+    # log_p_grid returns NumPy scalars; their repr is "np.float64(...)"
+    grid = log_p_grid(1e-5, 1e-2, 5)
+    points = [TtsPoint("d=3", p, 100, np.float64(0.5), 200.0 / p) for p in grid]
+    _, profile = qpe_profile()
+    numpy_profile = replace(profile, gates=tuple(
+        replace(g, mean_relative_pst=np.float64(g.mean_relative_pst),
+                min_relative_pst=np.float64(g.min_relative_pst))
+        for g in profile.gates))
+    heatmap = heatmap_csv_bytes(numpy_profile)
+    assert heatmap == heatmap_csv_bytes(profile)
+    sweep_rows = parse_csv(sweep_csv_bytes(points))[1:]
+    assert [float(row[1]) for row in sweep_rows] == list(grid)
+    for row in sweep_rows + parse_csv(heatmap)[1:]:
+        for cell in row[1:]:
+            float(cell)

@@ -27,14 +27,16 @@ fault sites are scored by one of two sweeps, which agree to within 1e-12:
 
 run_campaign takes the adjoint sweep when its cost is at most the
 replay's, as for the QPE benchmarks (R = 2), and the block replay
-otherwise, as when few qubits are measured. Both hold at most
-_BLOCK_AMPS amplitudes in a block of columns. On 4 or more qubits a
-replayed column comes out bitwise equal to a replay of its site alone,
-so those records do not depend on the chunk size; on fewer, the BLAS
-product of a block can round differently from that of one state, by a
-few 1e-16. The adjoint sweep's overlaps can likewise round differently
-with the number of rows in a block, by a few 1e-16. One readout, bitwise equal to pst(output_distribution(...)),
-scores the noiseless run and every replayed site.
+otherwise, as when few qubits are measured. The adjoint sweep holds all
+R rows in one block, at most 2^(n-1) columns since a qubit is measured;
+the replay holds at most _BLOCK_AMPS amplitudes in a chunk of columns.
+On 4 or more qubits a replayed column comes out bitwise equal to a
+replay of its site alone, so those records do not depend on the chunk
+size; on fewer, the BLAS product of a block can round differently from
+that of one state, by a few 1e-16. One readout, bitwise equal to
+pst(output_distribution(...)), scores the noiseless run and every
+replayed site. The cached states hold G * 2^n amplitudes for G gates,
+which MAX_CACHED_AMPS bounds.
 The campaign aggregates records into spatio-temporal cells keyed by
 (qubit, timestep): the mean relative PST over every error type at the
 gates touching that cell. Cells of non-faultable gates report 1.0 with
@@ -73,7 +75,7 @@ MODES = ("mirrored", "full-depolarizing")
 _TOL = 1e-12
 # (mean, min, count) reported for a gate without records
 _NO_RECORDS = (1.0, 1.0, 0)
-# amplitudes in one block of either sweep (columns times 2^n). The block
+# amplitudes in one chunk of the block replay (columns times 2^n). The block
 # replay of QPE with 8 counting qubits at eps 0.1 and one measured qubit
 # (256 rows, 497 gates, 1,737 full-depolarizing sites) took 1.9 s at 4096,
 # 1.3 s at 8192, 2.0 s at 16384, 2.7 s at 2^16 and 3.5 s at 2^20, where
@@ -82,6 +84,11 @@ _NO_RECORDS = (1.0, 1.0, 0)
 # 692 gates, 1,668 mirrored sites) it took 29.8, 20.6, 19.3 and 28.9 s at
 # 4096, 8192, 16384 and 2^16 (numpy 2.4, 2 cores, fresh process per run)
 _BLOCK_AMPS = 8192
+# amplitudes of the noiseless states run_campaign caches, G * 2^n for G
+# gates: 1 GiB of states. The largest circuit the pipeline builds, QPE with
+# 11 counting qubits and every rotation at the 34-symbol cap, has
+# 66 * (3 * 34 + 2) + 23 = 6,887 gates on 12 qubits, or 28,209,152
+MAX_CACHED_AMPS = 2**26
 
 
 @dataclass(frozen=True)
@@ -187,56 +194,51 @@ def _image(amps, n, op, paulis):
 
 def _replay_psts(circuit: Circuit, prefixes, sites, rows) -> list[float]:
     """PST of each site by block replay: chunks of at most
-    max(1, _BLOCK_AMPS >> n) consecutive sites share one (2^n, B) block.
-    A site's column joins the block at its gate and every later gate is
-    applied once to the block. rows lists the basis states that read the
-    correct bitstring, in ascending order."""
+    max(1, _BLOCK_AMPS >> n) consecutive sites share one (2^n, B) block,
+    allocated at the chunk's first gate. A site's image is written into
+    its own column at its gate, and every later gate is applied once to
+    the block. rows lists the basis states that read the correct
+    bitstring, in ascending order."""
     n, ops = circuit.num_qubits, circuit.ops
     width = max(1, _BLOCK_AMPS >> n)
     psts = []
     for start in range(0, len(sites), width):
         chunk = sites[start:start + width]
-        block, k = None, 0
+        block, k = np.zeros((1 << n, len(chunk)), dtype=complex), 0
         for g in range(chunk[0].gate_index, len(ops)):
-            if block is not None:
+            if k:  # a column joined at an earlier gate
                 block = _apply_op(block, n, ops[g])
-            cols = []
             while k < len(chunk) and chunk[k].gate_index == g:
-                cols.append(_image(prefixes[g], n, ops[g], chunk[k].paulis))
+                block[:, k] = _image(prefixes[g], n, ops[g], chunk[k].paulis)
                 k += 1
-            if cols:
-                block = np.column_stack(cols if block is None else [block, *cols])
         psts += _readout(block, rows)
     return psts
 
 
 def _adjoint_psts(circuit: Circuit, prefixes, sites, rows) -> list[float]:
-    """PST of each site by one backward sweep: the basis states of `rows`
-    walk back through the adjoint gates, in column blocks of at most
-    max(1, _BLOCK_AMPS >> n) rows. At gate g a block holds
-    phi_r = U_{g+1}^dagger ... U_{G-1}^dagger |r>, and a site at g with
-    Pauli image P scores sum_r |<phi_r | P psi_g>|^2, where psi_g is the
-    cached state after gate g (arXiv:2009.02823)."""
+    """PST of each site by one backward sweep: the R basis states of `rows`
+    walk back through the adjoint gates as one (2^n, R) block, which at
+    least one measured qubit bounds to R <= 2^(n-1) columns. At gate g
+    column r holds phi_r = U_{g+1}^dagger ... U_{G-1}^dagger |r>, and a
+    site at g with Pauli image P scores sum_r |<phi_r | P psi_g>|^2, where
+    psi_g is the cached state after gate g (arXiv:2009.02823)."""
     n, ops = circuit.num_qubits, circuit.ops
-    width = max(1, _BLOCK_AMPS >> n)
     at_gate: dict[int, list[int]] = {}
     for i, site in enumerate(sites):
         at_gate.setdefault(site.gate_index, []).append(i)
     first = min(at_gate, default=len(ops))
     mass = np.zeros(len(sites))
-    for start in range(0, len(rows), width):
-        cols = rows[start:start + width]
-        phi = np.zeros((1 << n, len(cols)), dtype=complex)
-        phi[cols, np.arange(len(cols))] = 1.0
-        for g in range(len(ops) - 1, first - 1, -1):
-            if g in at_gate:
-                bra = phi.conj().T
-                for i in at_gate[g]:
-                    amps = bra @ _image(prefixes[g], n, ops[g], sites[i].paulis)
-                    mass[i] += np.sum(np.abs(amps) ** 2)
-            if g > first:
-                op = ops[g]
-                phi = _apply(phi, n, op.qubits, gate_matrix(op.kind, op.params).conj().T)
+    phi = np.zeros((1 << n, len(rows)), dtype=complex)
+    phi[rows, np.arange(len(rows))] = 1.0
+    for g in range(len(ops) - 1, first - 1, -1):
+        if g in at_gate:
+            bra = phi.conj().T
+            for i in at_gate[g]:
+                amps = bra @ _image(prefixes[g], n, ops[g], sites[i].paulis)
+                mass[i] = np.sum(np.abs(amps) ** 2)
+        if g > first:
+            op = ops[g]
+            phi = _apply(phi, n, op.qubits, gate_matrix(op.kind, op.params).conj().T)
     return _above_min_prob(mass)
 
 
@@ -272,13 +274,17 @@ def run_campaign(
 
     The sites of enumerate_sites are scored by the adjoint sweep or by
     the block replay, whichever needs fewer column-gate products (see
-    the module docstring).
+    the module docstring). Raises ValidationError, before simulating,
+    when the cached states would exceed MAX_CACHED_AMPS amplitudes.
     """
     if not circuit.ops:
         raise CampaignError("circuit has no gates to inject into")
+    n = circuit.num_qubits
+    if len(circuit.ops) << n > MAX_CACHED_AMPS:
+        raise ValidationError(f"{len(circuit.ops)} gates on {n} qubits exceed the "
+                              f"campaign's limit of {MAX_CACHED_AMPS} cached amplitudes")
     _check_distinct_cells(circuit.ops)
     check_bitstring(correct_bitstring, len(circuit.measured_qubits))
-    n = circuit.num_qubits
     rows = np.flatnonzero(
         _outcome_keys(n, circuit.measured_qubits) == int(correct_bitstring, 2)
     )

@@ -16,7 +16,6 @@ Every document goes through one writer per format: `_csv` for CSV
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import math
 
@@ -26,30 +25,17 @@ from .qecc import TtsPoint
 _PALETTE = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b"]
 
 
-# charts repeat coordinates (each qubit row's y, each timestep's x); every
-# chart coordinate is > 0, so the cache never mixes up 0.0 and -0.0
-@functools.lru_cache(maxsize=4096)
 def _fmt(x: float) -> str:
     return f"{x:.2f}".rstrip("0").rstrip(".")
-
-
-# (tag, attribute keywords) -> the element's start tag as a % template
-_START_TAGS: dict[tuple, str] = {}
 
 
 def _el(tag: str, text: str | None = None, **attrs) -> str:
     """One SVG element. Keyword `stroke_width` is the attribute
     stroke-width and `class_` is class; floats go through _fmt, other
     values through str."""
-    for k, v in attrs.items():
-        if isinstance(v, float):
-            attrs[k] = _fmt(v)
-    key = (tag, *attrs)
-    start = _START_TAGS.get(key)
-    if start is None:
-        start = _START_TAGS[key] = f"<{tag}" + "".join(
-            f' {k.rstrip("_").replace("_", "-")}="%s"' for k in attrs)
-    start %= tuple(attrs.values())
+    start = f"<{tag}" + "".join([
+        f' {k.rstrip("_").replace("_", "-")}="{_fmt(v) if isinstance(v, float) else v}"'
+        for k, v in attrs.items()])
     return start + "/>" if text is None else f"{start}>{text}</{tag}>"
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import inject, relative_pst_of_injection, with_faultable
 from vdqec import inject as inject_module
+from vdqec.cli import main
 from vdqec.errors import CampaignError, ValidationError
 from vdqec.inject import (
     FaultSite,
@@ -20,6 +21,7 @@ from vdqec.sim import (
     GateOp,
     _apply_op,
     _outcome_keys,
+    circuit_to_json,
     output_distribution,
     pst,
     simulate,
@@ -202,9 +204,10 @@ SWEEPS = ["_adjoint_psts", "_replay_psts"]
 @pytest.mark.parametrize("mode", ["mirrored", "full-depolarizing"])
 @pytest.mark.parametrize("n, measured", BLOCK_CASES, ids=[f"n{n}" for n, _ in BLOCK_CASES])
 def test_each_sweep_matches_reference(monkeypatch, n, measured, mode, sweep):
-    # 64 columns per block at n = 12: the adjoint sweep walks its 2,048 rows
-    # as 32 blocks and builds each Pauli image 32 times, 3-5 s a mode; at
-    # the default 2 columns it builds them 1,024 times, 8-19 s a mode
+    # the replay runs in chunks of 64 columns at n = 12, so the 54 or 162
+    # sites of the (12, 1) case fill one or three wide chunks rather than
+    # 27 or 81 chunks of the default 2 columns; the adjoint sweep walks its
+    # 2,048 rows as one block whatever _BLOCK_AMPS is
     monkeypatch.setattr(inject_module, "_BLOCK_AMPS", 2**18)
     circuit, correct = random_circuit(n, 18, 100 + n, measured)
     sites = enumerate_sites(circuit, mode)
@@ -215,6 +218,29 @@ def test_each_sweep_matches_reference(monkeypatch, n, measured, mode, sweep):
     for site, p_noisy in zip(sites, noisy):
         ref = relative_pst_of_injection(circuit, site, correct)
         assert p_noisy / ideal == pytest.approx(ref, abs=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["mirrored", "full-depolarizing"])
+def test_adjoint_sweep_walks_all_rows_as_one_block(monkeypatch, mode):
+    """128 correct-readout rows, 16 replay columns per chunk at n = 9: the
+    adjoint sweep builds each Pauli image once, and its records do not
+    depend on _BLOCK_AMPS."""
+    circuit, correct = random_circuit(9, 18, 109, 2)
+    sites = enumerate_sites(circuit, mode)
+    prefixes, rows = sweep_inputs(circuit, correct)
+    assert len(rows) == 128 > inject_module._BLOCK_AMPS >> 9
+    image, images = inject_module._image, []
+
+    def counted(*args):
+        images.append(args)
+        return image(*args)
+
+    monkeypatch.setattr(inject_module, "_image", counted)
+    expected = inject_module._adjoint_psts(circuit, prefixes, sites, rows)
+    assert len(images) == len(sites)
+    for amps in (1, 2**20):
+        monkeypatch.setattr(inject_module, "_BLOCK_AMPS", amps)
+        assert inject_module._adjoint_psts(circuit, prefixes, sites, rows) == expected
 
 
 def refuse(name):
@@ -260,6 +286,36 @@ def test_block_replay_edge_cases(monkeypatch):
     for bad in (correct + "0", correct[1:], correct[:-1] + "2"):
         with pytest.raises(ValidationError):
             run_campaign(circuit, bad, "full-depolarizing")
+
+
+def test_campaign_refuses_circuits_past_the_state_cache_limit(monkeypatch, tmp_path):
+    """G * 2^n cached amplitudes above MAX_CACHED_AMPS exit 2 before any
+    gate is simulated; the largest pipeline circuit, 6,887 gates on 12
+    qubits, stays below it."""
+    assert 6887 << MAX_QUBITS <= inject_module.MAX_CACHED_AMPS
+    monkeypatch.setattr(inject_module, "_apply_op", refuse("_apply_op"))
+    gates = (inject_module.MAX_CACHED_AMPS >> MAX_QUBITS) + 1
+    ops = tuple(GateOp("X", (t % MAX_QUBITS,), (), t) for t in range(gates))
+    circuit = Circuit(MAX_QUBITS, ops, tuple(range(MAX_QUBITS)))
+    with pytest.raises(ValidationError, match="limit"):
+        run_campaign(circuit, "0" * MAX_QUBITS)
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(circuit_to_json(circuit)))
+    argv = ["inject", "--circuit", str(path), "--bitstring", "0" * MAX_QUBITS,
+            "-o", str(tmp_path / "profile.json")]
+    assert main(argv) == 2
+    assert not (tmp_path / "profile.json").exists()
+
+
+def test_campaign_accepts_circuits_at_the_state_cache_limit(monkeypatch):
+    circuit, correct = random_circuit(7, 18, 107, 5)
+    expected = run_campaign(circuit, correct)
+    monkeypatch.setattr(inject_module, "MAX_CACHED_AMPS", 18 << 7)
+    assert run_campaign(circuit, correct) == expected
+    monkeypatch.setattr(inject_module, "MAX_CACHED_AMPS", (18 << 7) - 1)
+    monkeypatch.setattr(inject_module, "_apply_op", refuse("_apply_op"))
+    with pytest.raises(ValidationError, match="limit"):
+        run_campaign(circuit, correct)
 
 
 def test_campaign_record_and_cell_structure():

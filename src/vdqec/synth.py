@@ -20,11 +20,30 @@ of the least minimal word are least witnesses of rotations first reached
 at their own lengths, or a swap would give a shorter or a smaller word.
 So the table only grows to level ceil(max_length/2) <= 17, small enough
 (3,968 entries there) that each level keeps its words as int8 rows of
-symbol indices, not as parent pointers. The join rounds its
-overlaps differently from a scan of level L, so a distance within about
-1e-16 of epsilon could in principle fall on the other side; the reported
-distance is recomputed with the table's own arithmetic. Tests check the
-join against a scan of the table and against plain enumeration.
+symbol indices, not as parent pointers.
+
+The join scores only the pairs that can pass. Up to sign, a unitary u has
+the unit quaternion q = (Re a, Im a, Re b, Im b) of u / sqrt(det u) =
+[[a, -b*], [b, a*]], and |tr(V_S^dag U_P)| / 2 = |q_P . q_S|. So a pair
+is within epsilon when q_P.q_S >= 1 - epsilon^2 for q_S or for -q_S, and
+then q_P and that +-q_S differ by at most sqrt(2) epsilon in every
+coordinate. Each prefix level keeps its quaternions sorted on the first
+coordinate, built when the level is first joined. A join sorts the +-q_S
+of its suffixes, and each block of 128 of them scores one real product
+against the prefixes inside that window, widened by a rounding slack
+(derived at _SLACK). The few pairs above 1 - epsilon^2 - slack get the
+exact test, the complex overlap and the junction mask, and the least
+(prefix rank, suffix rank) hit is the first hit in lexicographic order.
+A miss returns no pairs. Only a search that never converges reruns its
+joins, with a window bounded by the best pair found instead of by
+epsilon, to collect the pairs within 1e-9 of each length's least
+distance.
+
+The join rounds its overlaps differently from a scan of level L, so a
+distance within about 1e-16 of epsilon could in principle fall on the
+other side; the reported distance is recomputed with the table's own
+arithmetic. Tests check the join against a dense scan of its pairs,
+against a scan of the table and against plain enumeration.
 """
 
 from __future__ import annotations
@@ -126,6 +145,8 @@ class _SearchTable:
         # per level: (unitaries, words); row n of words spells entry n
         self.levels = [(eye.copy(), np.empty((1, 0), dtype=np.int8))]
         self._allowed = np.ones((7, 6), dtype=bool)
+        # per prefix level, filled by the first join that reads it
+        self._keys = {}
         for a, b in FORBIDDEN_PAIRS:
             self._allowed[SYMBOLS.index(a), SYMBOLS.index(b)] = False
 
@@ -149,44 +170,89 @@ class _SearchTable:
         words = np.column_stack([words[parent_idx], sym_idx]).astype(np.int8)
         self.levels.append((children[keep], words))
 
-    def join(self, i: int, j: int, target: np.ndarray, epsilon: float):
-        """Scan the words P.S (P in level i, S in level j, junction in
-        normal form) in lexicographic order for one within epsilon of
-        target. Returns (hit, prefix ranks, suffix ranks): the first hit
-        alone, or else every pair within 1e-9 of the least distance."""
+    def join(self, i: int, j: int, target: np.ndarray, epsilon: float,
+             nearest: bool = False):
+        """Find the first word P.S (P in level i, S in level j, junction in
+        normal form) in lexicographic order within epsilon of target.
+        Returns (hit, prefix ranks, suffix ranks): the first hit alone, or
+        no pairs on a miss. With nearest the window is not bounded by
+        epsilon but by the best pair found so far, and a miss returns every
+        pair within 1e-9 of the least distance."""
+        keys, key0, order = self._sorted_quaternions(i)
         prefix, prefix_words = self.levels[i]
         suffix, suffix_words = self.levels[j]
-        last = _last(prefix_words)
+        n = len(suffix)
         # tr(target^dag U_S U_P) = tr(V_S^dag U_P) with V_S = U_S^dag target
-        v_conj = (suffix.conj().transpose(0, 2, 1) @ target).conj()
-        v_conj = np.ascontiguousarray(v_conj.reshape(-1, 4).T)
-        forbidden = (~self._allowed[:, suffix_words[:, 0]] if j
-                     else np.zeros((7, 1), dtype=bool))
-        flat = prefix.reshape(-1, 4)
-        rows = max(1, _JOIN_CELLS // len(suffix))
-        # |tr| below hit_floor cannot pass the hit test; it only prefilters
-        hit_floor = 2.0 * (1.0 - epsilon**2) - 1e-9
-        least, near = np.inf, []
-        for r0 in range(0, len(flat), rows):
-            tr = np.abs(flat[r0 : r0 + rows] @ v_conj)
-            tr[forbidden[last[r0 : r0 + rows]]] = -np.inf
-            tr = tr.ravel()
-            top = tr.max()
-            if top >= hit_floor:
-                cells = np.flatnonzero(tr >= hit_floor)
-                cells = cells[_distance(tr[cells]) <= epsilon]
-                if cells.size:
-                    p, s = divmod(int(cells[0]) + r0 * len(suffix), len(suffix))
-                    return True, np.array([p]), np.array([s])
-            # d <= min d + 1e-9 implies |tr| >= max |tr| - 4e-9
-            cells = np.flatnonzero(tr >= top - 1e-8)
-            d = _distance(tr[cells])
-            least = min(least, d.min())
-            near.append((cells + r0 * len(suffix), d))
-        cells = np.concatenate([c for c, _ in near])
-        d = np.concatenate([d for _, d in near])
-        p, s = np.divmod(cells[d <= least + 1e-9], len(suffix))
-        return False, p, s
+        v = suffix.conj().transpose(0, 2, 1) @ target
+        q = _quaternions(v)
+        # a pair can pass only if q_P lies near +q_S or near -q_S
+        signed = np.concatenate([q, -q])
+        by_key = np.argsort(signed[:, 0], kind="stable")
+        signed, s_rank = signed[by_key], by_key % n
+        flat, v_conj = prefix.reshape(-1, 4), v.conj().reshape(-1, 4)
+        last = _last(prefix_words)
+        allowed = (self._allowed[:, suffix_words[:, 0]] if j
+                   else np.ones((7, 1), dtype=bool))
+        floor = 1.0 - epsilon**2 - _SLACK
+        total = len(prefix) * n
+        best, top, near, start = total, -np.inf, [], 0
+        # the nearest search starts unbounded and narrows as its top rises
+        cut = -np.inf if nearest else floor
+        while start < 2 * n:
+            half = math.sqrt(2.0 * (1.0 - cut + _SLACK))
+            block = signed[start : start + _BLOCK]
+            lo, hi = key0.searchsorted((block[0, 0] - half, block[-1, 0] + half))
+            ranks, window = order[lo:hi], keys[lo:hi]
+            if best < total:  # only prefixes up to the best hit's can beat it
+                fit = ranks <= best // n
+                ranks, window = ranks[fit], window[fit]
+            block = block[: max(1, _CELLS // max(1, len(ranks)))]
+            block_ranks = s_rank[start : start + len(block)]
+            start += len(block)
+            if not len(ranks):
+                continue
+            dots = block @ window.T
+            if nearest:
+                dots[~allowed[np.ix_(last[ranks], block_ranks)].T] = -np.inf
+                top = max(top, dots.max())
+                # d <= least d + 1e-9 implies |q_P.q_S| >= top - 2e-9 - 2 slack
+                cut = min(floor, top - 3e-9)
+            if dots.max() < cut:
+                continue
+            b, w = np.nonzero(dots >= cut)
+            p, s = ranks[w], block_ranks[b]
+            cells = p * n + s
+            keep = cells < best
+            p, s, cells = p[keep], s[keep], cells[keep]
+            if not cells.size:
+                continue
+            tr = _overlap(flat[p], v_conj[s])
+            tr[~allowed[last[p], s]] = -np.inf
+            d = _distance(tr)
+            hits = d <= epsilon
+            if hits.any():
+                best = int(cells[hits].min())
+            elif nearest:
+                near.append((cells, d))
+        if best < total:
+            return True, np.array([best // n]), np.array([best % n])
+        if not near:
+            return False, np.empty(0, dtype=int), np.empty(0, dtype=int)
+        cells, d = (np.concatenate(x) for x in zip(*near))
+        cells = np.unique(cells[d <= d.min() + 1e-9])
+        return False, cells // n, cells % n
+
+    def _sorted_quaternions(self, level: int):
+        """Quaternions of a level's unitaries, signed so that the first
+        coordinate is >= 0 and sorted on it: the quaternions, that first
+        coordinate and their ranks in the level. Built on first use."""
+        if level not in self._keys:
+            q = _quaternions(self.levels[level][0])
+            q[q[:, 0] < 0] *= -1.0
+            order = np.argsort(q[:, 0], kind="stable")
+            q = q[order]
+            self._keys[level] = (q, q[:, 0].copy(), order)
+        return self._keys[level]
 
     def words(self, i: int, prefix: np.ndarray, j: int, suffix: np.ndarray,
               target_dag: np.ndarray):
@@ -209,6 +275,23 @@ def _last(words: np.ndarray) -> np.ndarray:
     return words[:, -1] if words.shape[1] else np.full(len(words), -1)
 
 
+def _quaternions(u: np.ndarray) -> np.ndarray:
+    """Rows (Re a, Im a, Re b, Im b) of u / sqrt(det u) = [[a, -b*], [b, a*]]
+    in SU(2), one of its two signs. For unitaries u and v,
+    |tr(v^dag u)| / 2 = |q_u . q_v|."""
+    root = np.sqrt(u[:, 0, 0] * u[:, 1, 1] - u[:, 0, 1] * u[:, 1, 0])
+    a, b = u[:, 0, 0] / root, u[:, 1, 0] / root
+    return np.column_stack([a.real, a.imag, b.real, b.imag])
+
+
+def _overlap(u: np.ndarray, v_conj: np.ndarray) -> np.ndarray:
+    """|tr(v^dag u)| of row pairs of flattened 2x2 matrices, v conjugated.
+    Summed term by term, so a pair rounds alike in every batch; a matrix
+    product's rounding can depend on the shape of the product."""
+    return np.abs(u[:, 0] * v_conj[:, 0] + u[:, 1] * v_conj[:, 1]
+                  + u[:, 2] * v_conj[:, 2] + u[:, 3] * v_conj[:, 3])
+
+
 def _distance(abs_trace: np.ndarray) -> np.ndarray:
     """sqrt(1 - |tr(target^dag u)| / 2) from |tr(target^dag u)|."""
     return np.sqrt(np.maximum(0.0, 1.0 - abs_trace / 2.0))
@@ -221,10 +304,18 @@ def _step(u: np.ndarray) -> np.ndarray:
 
 _TABLE = _SearchTable()
 
-# pair cells per join chunk. Compiling the qpe5-mirrored circuit in process
-# took 0.33-0.50 s at 2^16 to 2^20 cells and peaked at 38, 44 and 66 MB; 2^22
-# took 0.53-0.57 s and peaked at 121 MB.
-_JOIN_CELLS = 1 << 18
+# Rounding slack of the join's prefilter. A pair passes the hit test when
+# sqrt(1 - |tr|/2) <= epsilon in floats, so |tr|/2 >= 1 - epsilon^2 (1 +
+# 2^-52). |q_P.q_S| and |tr|/2 agree exactly only for exact unitaries; the
+# table's are products of at most 17 gates, a few ulp off unitary each. On
+# sampled pairs of levels 0-17 the two were at most 2.0e-15 apart and |q|^2
+# within 1.1e-15 of 1; the 4-term dot adds a few ulp. 1e-12 covers all of it
+# 500 times over. The window: with |q|^2 <= 1 + slack, q_P.q_S >= cut gives
+# |q_P - q_S|^2 <= 2 (1 - cut + slack), which bounds each coordinate's gap.
+_SLACK = 1e-12
+# sorted suffix keys scored per block, and at most this many pairs a block
+_BLOCK = 128
+_CELLS = 1 << 15
 
 
 def check_budget(epsilon: float, max_length: int) -> None:
@@ -256,10 +347,8 @@ def approximate_rz(
 
     target = rz_matrix(theta % (2 * np.pi))
     target_dag = target.conj().T
-    near = []
-    for length in range(max_length + 1):
-        i = (length + 1) // 2
-        j = length - i
+    splits = [((n + 1) // 2, n - (n + 1) // 2) for n in range(max_length + 1)]
+    for length, (i, j) in enumerate(splits):
         # grow the shared table one level at a time so early hits stay cheap
         _TABLE.ensure_length(i)
         hit, p, s = _TABLE.join(i, j, target, epsilon)
@@ -267,9 +356,9 @@ def approximate_rz(
             _, d = _TABLE.words(i, p, j, s, target_dag)
             seq = _TABLE.sequence(i, int(p[0]), j, int(s[0]))
             return ApproxReport(seq, theta, float(d[0]), length, True)
-        near.append((i, j, p, s))
     best = (2.0, "")
-    for i, j, p, s in near:
+    for i, j in splits:
+        _, p, s = _TABLE.join(i, j, target, epsilon, nearest=True)
         u, d = _TABLE.words(i, p, j, s, target_dag)
         # score each rotation by its least witness, as the table stores it
         _, first = np.unique(_bloch_keys(u), axis=0, return_index=True)

@@ -222,6 +222,41 @@ def table_scan_rz(theta, epsilon, max_length):
     return synth.ApproxReport(seq, theta, best[0], best[1], False)
 
 
+def dense_join_scan(i, j, target, epsilons):
+    """Oracle for _SearchTable.join: score every pair P.S of table levels i
+    and j with the complex overlap |tr(V_S^dag U_P)|, V_S = U_S^dag target,
+    in prefix rank order, and return per epsilon the first
+    (prefix rank, suffix rank) within epsilon whose junction is in normal
+    form, or None. The overlap is summed term by term in the order of the
+    join's exact test, so that the two round alike."""
+    from vdqec import synth
+
+    prefix, prefix_words = synth._TABLE.levels[i]
+    suffix, suffix_words = synth._TABLE.levels[j]
+    v = (suffix.conj().transpose(0, 2, 1) @ target).conj().reshape(-1, 4)
+    u = prefix.reshape(-1, 4)
+    # junction[a, b]: may symbol b follow symbol a
+    junction = np.array([[synth.is_normal_form(a + b) for b in synth.SYMBOLS]
+                         for a in synth.SYMBOLS])
+    hits = {}
+    rows = max(1, 2**16 // len(v))
+    for r0 in range(0, len(u), rows):
+        a = u[r0 : r0 + rows, None, :]
+        tr = np.abs(a[..., 0] * v[:, 0] + a[..., 1] * v[:, 1]
+                    + a[..., 2] * v[:, 2] + a[..., 3] * v[:, 3])
+        d = np.sqrt(np.maximum(0.0, 1.0 - tr / 2.0))
+        if i and j:
+            last = prefix_words[r0 : r0 + rows, -1]
+            d[~junction[np.ix_(last, suffix_words[:, 0])]] = np.inf
+        for eps in set(epsilons) - set(hits):
+            found = np.argwhere(d <= eps)
+            if len(found):
+                hits[eps] = (r0 + int(found[0][0]), int(found[0][1]))
+        if len(hits) == len(epsilons):
+            break
+    return [hits.get(eps) for eps in epsilons]
+
+
 @pytest.fixture(autouse=True)
 def children_import_the_tested_package(monkeypatch):
     """Child processes (`python -m vdqec.cli`) import vdqec from where the

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import dense_circuit_unitary, table_scan_rz
+from conftest import dense_circuit_unitary, dense_join_scan, table_scan_rz
 from vdqec.errors import CompileError, ValidationError
 from vdqec.qpe import QpeSpec, build_qpe
-from vdqec.sim import Circuit, GateOp
+from vdqec.sim import Circuit, GateOp, rz_matrix
 from vdqec import synth
 from vdqec.synth import (
     DEFAULT_MAX_LENGTH,
@@ -203,6 +205,109 @@ def test_join_scans_only_normal_form_words():
             if is_normal_form(table.sequence(i, a, j, b))
         )
         assert (int(p[0]), int(s[0])) == want, (i, j)
+
+
+JOIN_EPSILONS = (2.0, 1.0, 0.1, 0.03, 0.015, 1e-9)
+
+
+def su2_quaternion(u):
+    """(Re a, Im a, Re b, Im b) of u / sqrt(det u) = [[a, -b*], [b, a*]]."""
+    w = u / np.sqrt(np.linalg.det(u))
+    return np.array([w[0, 0].real, w[0, 0].imag, w[1, 0].real, w[1, 0].imag])
+
+
+def su2_matrix(q):
+    a, b = complex(q[0], q[1]), complex(q[2], q[3])
+    return np.array([[a, -b.conjugate()], [b, a.conjugate()]])
+
+
+def edge_target(u_prefix, u_suffix, eps):
+    """A target at distance exactly eps from the word U_suffix U_prefix,
+    offset from the prefix's quaternion as far along the first coordinate
+    (the join's sort key) as the unit sphere allows."""
+    q = su2_quaternion(u_prefix)
+    axis = np.eye(4)[0] - q[0] * q
+    if np.linalg.norm(axis) < 1e-6:
+        axis = np.eye(4)[1] - q[1] * q
+    axis /= np.linalg.norm(axis)
+    angle = np.arccos(1.0 - eps**2)
+    return u_suffix @ su2_matrix(np.cos(angle) * q + np.sin(angle) * axis)
+
+
+def test_join_matches_dense_scan_at_window_edges(rng):
+    """The pruned join returns the first hit of a dense scan on every split
+    (i, j) up to (17, 17), for an Rz target, for the word of a table pair
+    as target (its hit sits within rounding of distance 0, where the float
+    test decides), and for targets at distance exactly epsilon from a pair.
+    Each pair target comes with both signs, so that q_P.q_S < 0 for one of
+    them and only the -q_S window finds it."""
+    table = synth._TABLE
+    table.ensure_length(17)
+    for length in range(35):
+        i = (length + 1) // 2
+        j = length - i
+        prefix, suffix = table.levels[i][0], table.levels[j][0]
+        while True:
+            a, b = int(rng.integers(len(prefix))), int(rng.integers(len(suffix)))
+            if is_normal_form(table.sequence(i, a, j, b)):
+                break
+        word = suffix[b] @ prefix[a]
+        cases = [(rz_matrix(rng.uniform(0, 2 * np.pi)), JOIN_EPSILONS),
+                 (word, JOIN_EPSILONS), (-word, JOIN_EPSILONS)]
+        for eps in (0.1, 0.03, 0.015):
+            edge = edge_target(prefix[a], suffix[b], eps)
+            cases += [(edge, (eps,)), (-edge, (eps,))]
+        for target, epsilons in cases:
+            want = dense_join_scan(i, j, target, epsilons)
+            for eps, first in zip(epsilons, want):
+                hit, p, s = table.join(i, j, target, eps)
+                assert hit == (first is not None), (i, j, eps)
+                if hit:
+                    assert (int(p[0]), int(s[0])) == first, (i, j, eps)
+
+
+# approximate_rz reports on the non-converged path past the lengths that
+# test_join_matches_table_scan reaches, as the dense join found them
+NONCONVERGED_REPORTS = {
+    (0.1, 23): ("XHtHTHTHtHtHTHTHtHtHTHT", 0.033210100661213694, 23),
+    (0.1, 28): ("HtHTHtHtHTHTHtHtHTHTHTHs", 0.022865071525547735, 24),
+    (0.1, 34): ("HTHtHTHTHTHtHtHTHTHTHtHtHtHTHTHTHS", 0.00840911180856467, 34),
+    (1.0, 23): ("HtHtHTHtHTHTHtHTHtHtHt", 0.015292889557925436, 22),
+    (1.0, 28): ("HtHtHTHtHTHTHtHTHtHtHt", 0.015292889557925436, 22),
+    (1.0, 34): ("HXTHtHtHtHTHTHtHTHTHtHtHtHTHt", 0.006088857575171975, 29),
+    (-2.5, 23): ("HTHTHtHTHtHtHTHtHTHTHt", 0.03096114280499976, 22),
+    (-2.5, 28): ("HTHTHtHTHtHtHTHtHTHTHt", 0.03096114280499976, 22),
+    (-2.5, 34): ("XHXtHtHTHTHTHtHTHTHtHtHTHtHTHTHTHt", 0.019017481940944412, 34),
+}
+
+
+@pytest.mark.parametrize("theta, max_length", list(NONCONVERGED_REPORTS))
+def test_nonconverged_reports_are_locked(theta, max_length):
+    r = approximate_rz(theta, 1e-9, max_length)
+    assert not r.converged
+    assert (r.sequence, r.achieved_distance, r.length) == (
+        NONCONVERGED_REPORTS[theta, max_length])
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that tracemalloc sees while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_join_scratch_memory_is_bounded():
+    """The join's scratch memory stays under 4 MiB: the widest hit search,
+    (17, 17) at epsilon 0.015, and the unbounded-window rerun of a call that
+    never converges at the full budget. Measured 2.0 and 3.0 MiB, with the
+    level-17 quaternions built inside the first; the dense join of 2^18
+    pair cells a chunk peaked at 8.3 MiB on both."""
+    synth._TABLE.ensure_length(17)
+    assert traced_peak(synth._TABLE.join, 17, 17, rz_matrix(0.3), 0.015) < 4 << 20
+    assert traced_peak(approximate_rz, 0.1, 1e-9, DEFAULT_MAX_LENGTH) < 4 << 20
 
 
 def test_full_budget_stays_bounded():

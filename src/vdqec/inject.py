@@ -219,26 +219,27 @@ def _adjoint_psts(circuit: Circuit, prefixes, sites, rows) -> list[float]:
     """PST of each site by one backward sweep: the R basis states of `rows`
     walk back through the adjoint gates as one (2^n, R) block, which at
     least one measured qubit bounds to R <= 2^(n-1) columns. At gate g
-    column r holds phi_r = U_{g+1}^dagger ... U_{G-1}^dagger |r>, and a
-    site at g with Pauli image P scores sum_r |<phi_r | P psi_g>|^2, where
-    psi_g is the cached state after gate g (arXiv:2009.02823)."""
+    column r holds the conjugate of phi_r = U_{g+1}^dagger ... U_{G-1}^dagger
+    |r>, walked back by conj(U^dagger) = U^T, so that the block's transpose
+    is the bras <phi_r| without a copy; IEEE conjugation is exact, so the
+    scores are those of walking phi_r itself. A site at g with Pauli image
+    P scores sum_r |<phi_r | P psi_g>|^2, where psi_g is the cached state
+    after gate g (arXiv:2009.02823)."""
     n, ops = circuit.num_qubits, circuit.ops
     at_gate: dict[int, list[int]] = {}
     for i, site in enumerate(sites):
         at_gate.setdefault(site.gate_index, []).append(i)
     first = min(at_gate, default=len(ops))
     mass = np.zeros(len(sites))
-    phi = np.zeros((1 << n, len(rows)), dtype=complex)
-    phi[rows, np.arange(len(rows))] = 1.0
+    bra = np.zeros((1 << n, len(rows)), dtype=complex)
+    bra[rows, np.arange(len(rows))] = 1.0
     for g in range(len(ops) - 1, first - 1, -1):
-        if g in at_gate:
-            bra = phi.conj().T
-            for i in at_gate[g]:
-                amps = bra @ _image(prefixes[g], n, ops[g], sites[i].paulis)
-                mass[i] = np.sum(np.abs(amps) ** 2)
+        for i in at_gate.get(g, ()):
+            amps = bra.T @ _image(prefixes[g], n, ops[g], sites[i].paulis)
+            mass[i] = np.sum(np.abs(amps) ** 2)
         if g > first:
             op = ops[g]
-            phi = _apply(phi, n, op.qubits, gate_matrix(op.kind, op.params).conj().T)
+            bra = _apply(bra, n, op.qubits, gate_matrix(op.kind, op.params).T)
     return _above_min_prob(mass)
 
 

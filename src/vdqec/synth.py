@@ -11,7 +11,8 @@ approximate_rz returns the shortest normal-form sequence within epsilon
 of the target, ties broken lexicographically on the symbol order
 X < H < S < Sdg < T < Tdg. A table holds, per length, the least witness
 of each rotation that length reaches first (levels are deduplicated by
-the rotation each unitary induces on the Bloch sphere). For each length
+the unit quaternion q below, rounded to a 1e-7 grid and signed so that
+its first nonzero coordinate is positive). For each length
 L = 0, 1, ... the search joins table level ceil(L/2) as prefix with
 level L - ceil(L/2) as suffix (meet in the middle, Amy, Maslov, Mosca and
 Roetteler, arXiv:1206.0758) and stops at the first length with a hit.
@@ -27,8 +28,8 @@ the unit quaternion q = (Re a, Im a, Re b, Im b) of u / sqrt(det u) =
 [[a, -b*], [b, a*]], and |tr(V_S^dag U_P)| / 2 = |q_P . q_S|. So a pair
 is within epsilon when q_P.q_S >= 1 - epsilon^2 for q_S or for -q_S, and
 then q_P and that +-q_S differ by at most sqrt(2) epsilon in every
-coordinate. Each prefix level keeps its quaternions sorted on the first
-coordinate, built when the level is first joined. A join sorts the +-q_S
+coordinate. Each level keeps its quaternions sorted on the first
+coordinate, built as the level grows. A join sorts the +-q_S
 of its suffixes, and each block of 128 of them scores one real product
 against the prefixes inside that window, widened by a rounding slack
 (derived at _SLACK). The few pairs above 1 - epsilon^2 - slack get the
@@ -80,11 +81,6 @@ FORBIDDEN_PAIRS = frozenset(
 MAX_SEARCH_LENGTH = 34
 DEFAULT_MAX_LENGTH = MAX_SEARCH_LENGTH
 
-_PAULIS = np.stack(
-    [gate_matrix("X"), gate_matrix("Y"), gate_matrix("Z")]
-)
-
-
 @dataclass(frozen=True)
 class ApproxReport:
     """Result of approximating Rz(target_theta) with a Clifford+T string."""
@@ -120,55 +116,48 @@ def sequence_unitary(sequence: str) -> np.ndarray:
     return u
 
 
-def _bloch_keys(states: np.ndarray) -> np.ndarray:
-    """Integer-grid SO(3) rotation entries; equal keys mean equal action
-    up to global phase."""
-    u_dag = states.conj().transpose(0, 2, 1)
-    out = np.empty((states.shape[0], 9))
-    for j in range(3):
-        conj = states @ _PAULIS[j] @ u_dag
-        for i in range(3):
-            out[:, 3 * j + i] = 0.5 * np.real(
-                np.einsum("ab,nba->n", _PAULIS[i], conj)
-            )
-    return np.round(out * 1e7).astype(np.int64)
-
-
 class _SearchTable:
     """Levels of normal-form words, grown on demand and shared between
     calls (the table only depends on the gate set). Level L holds the
     least witness of each rotation that length L reaches first."""
 
     def __init__(self):
-        eye = np.eye(2, dtype=complex)[None]
-        self._seen = {_bloch_keys(eye).tobytes()}
+        self._seen = set()
         # per level: (unitaries, words); row n of words spells entry n
-        self.levels = [(eye.copy(), np.empty((1, 0), dtype=np.int8))]
+        self.levels = []
+        # per level: its quaternions signed so that the first coordinate is
+        # >= 0 and sorted on it, that first coordinate, and their ranks
+        self._views = []
         self._allowed = np.ones((7, 6), dtype=bool)
-        # per prefix level, filled by the first join that reads it
-        self._keys = {}
         for a, b in FORBIDDEN_PAIRS:
             self._allowed[SYMBOLS.index(a), SYMBOLS.index(b)] = False
+        self._add_level(np.eye(2, dtype=complex)[None], np.empty((1, 0), dtype=np.int8))
 
     def ensure_length(self, max_length: int) -> None:
         while len(self.levels) - 1 < max_length:
-            self._grow()
+            parents, words = self.levels[-1]
+            idx = np.flatnonzero(self._allowed[_last(words)])
+            parent_idx, sym_idx = np.divmod(idx, 6)
+            self._add_level(_step(parents).reshape(-1, 2, 2)[idx],
+                            np.column_stack([words[parent_idx], sym_idx]).astype(np.int8))
 
-    def _grow(self) -> None:
-        parents, words = self.levels[-1]
-        idx = np.flatnonzero(self._allowed[_last(words)])
-        children = _step(parents).reshape(-1, 2, 2)[idx]
-        # children come in (parent, symbol) order, which is lexicographic, so
-        # the first unseen key is the least witness of a new rotation
-        keep = np.zeros(len(idx), dtype=bool)
-        for i, key in enumerate(_bloch_keys(children)):
+    def _add_level(self, units: np.ndarray, words: np.ndarray) -> None:
+        """Append the candidates whose rotations no level holds yet. They
+        come in (parent, symbol) order, which is lexicographic, so the first
+        unseen key is the least witness of a new rotation."""
+        q = _quaternions(units)
+        keep = np.zeros(len(q), dtype=bool)
+        for i, key in enumerate(_rotation_keys(q)):
             kb = key.tobytes()
             if kb not in self._seen:
                 self._seen.add(kb)
                 keep[i] = True
-        parent_idx, sym_idx = np.divmod(idx[keep], 6)
-        words = np.column_stack([words[parent_idx], sym_idx]).astype(np.int8)
-        self.levels.append((children[keep], words))
+        self.levels.append((units[keep], words[keep]))
+        q = q[keep]
+        q[q[:, 0] < 0] *= -1.0
+        order = np.argsort(q[:, 0], kind="stable")
+        q = q[order]
+        self._views.append((q, q[:, 0].copy(), order))
 
     def join(self, i: int, j: int, target: np.ndarray, epsilon: float,
              nearest: bool = False):
@@ -178,7 +167,7 @@ class _SearchTable:
         no pairs on a miss. With nearest the window is not bounded by
         epsilon but by the best pair found so far, and a miss returns every
         pair within 1e-9 of the least distance."""
-        keys, key0, order = self._sorted_quaternions(i)
+        keys, key0, order = self._views[i]
         prefix, prefix_words = self.levels[i]
         suffix, suffix_words = self.levels[j]
         n = len(suffix)
@@ -242,18 +231,6 @@ class _SearchTable:
         cells = np.unique(cells[d <= d.min() + 1e-9])
         return False, cells // n, cells % n
 
-    def _sorted_quaternions(self, level: int):
-        """Quaternions of a level's unitaries, signed so that the first
-        coordinate is >= 0 and sorted on it: the quaternions, that first
-        coordinate and their ranks in the level. Built on first use."""
-        if level not in self._keys:
-            q = _quaternions(self.levels[level][0])
-            q[q[:, 0] < 0] *= -1.0
-            order = np.argsort(q[:, 0], kind="stable")
-            q = q[order]
-            self._keys[level] = (q, q[:, 0].copy(), order)
-        return self._keys[level]
-
     def words(self, i: int, prefix: np.ndarray, j: int, suffix: np.ndarray,
               target_dag: np.ndarray):
         """Unitaries of the words P.S and their distances to the target,
@@ -282,6 +259,17 @@ def _quaternions(u: np.ndarray) -> np.ndarray:
     root = np.sqrt(u[:, 0, 0] * u[:, 1, 1] - u[:, 0, 1] * u[:, 1, 0])
     a, b = u[:, 0, 0] / root, u[:, 1, 0] / root
     return np.column_stack([a.real, a.imag, b.real, b.imag])
+
+
+def _rotation_keys(q: np.ndarray) -> np.ndarray:
+    """Quaternion rows on a 1e-7 integer grid, negated where needed so that
+    the first nonzero coordinate is positive: equal keys mean equal
+    unitaries up to global phase. Rounding is symmetric, so the keys of q
+    and -q agree exactly."""
+    keys = np.round(q * 1e7).astype(np.int64)
+    first = keys[np.arange(len(keys)), np.argmax(keys != 0, axis=1)]
+    keys[first < 0] *= -1
+    return keys
 
 
 def _overlap(u: np.ndarray, v_conj: np.ndarray) -> np.ndarray:
@@ -361,7 +349,7 @@ def approximate_rz(
         _, p, s = _TABLE.join(i, j, target, epsilon, nearest=True)
         u, d = _TABLE.words(i, p, j, s, target_dag)
         # score each rotation by its least witness, as the table stores it
-        _, first = np.unique(_bloch_keys(u), axis=0, return_index=True)
+        _, first = np.unique(_rotation_keys(_quaternions(u)), axis=0, return_index=True)
         first.sort()
         k = int(first[np.argmin(d[first])])
         if d[k] < best[0] - 1e-12:

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -185,6 +186,16 @@ def scalar_pst_bound(profile, assignment, p, params=DEFAULT_PARAMS):
     excl = prefix[:-1] * suffix[1:]
     total = profile.pst_ideal * prefix[-1] + float(np.sum(q_g * excl * mean_noisy))
     return float(total)
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that tracemalloc sees while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def table_scan_rz(theta, epsilon, max_length):

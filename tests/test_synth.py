@@ -1,9 +1,7 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from conftest import dense_circuit_unitary, dense_join_scan, table_scan_rz
+from conftest import dense_circuit_unitary, dense_join_scan, table_scan_rz, traced_peak
 from vdqec.errors import CompileError, ValidationError
 from vdqec.qpe import QpeSpec, build_qpe
 from vdqec.sim import Circuit, GateOp, rz_matrix
@@ -69,18 +67,34 @@ def oracle_rotation_key(u):
     return tuple(np.round(np.concatenate([v.real, v.imag]) * 1e6).astype(int))
 
 
-# sizes of search-table levels 0-20, pinned so that a change to the table's
+# sizes of search-table levels 0-22, pinned so that a change to the table's
 # dedup cannot move them silently
 TABLE_LEVEL_SIZES = [
     1, 6, 17, 34, 40, 62, 84, 132, 160, 248, 336,
-    528, 640, 992, 1344, 2112, 2560, 3968, 5376, 8448, 10240,
+    528, 640, 992, 1344, 2112, 2560, 3968, 5376, 8448, 10240, 15872, 21504,
 ]
 
 
 def test_table_level_sizes_are_locked():
-    synth._TABLE.ensure_length(20)
-    sizes = [len(level[0]) for level in synth._TABLE.levels[:21]]
+    synth._TABLE.ensure_length(22)
+    sizes = [len(level[0]) for level in synth._TABLE.levels[:23]]
     assert sizes == TABLE_LEVEL_SIZES
+
+
+def test_rotation_keys_ignore_global_phase(rng):
+    """The dedup key of c u is the key of u, for the phases -1, i, omega
+    and omega^-3 of the gate set and for random phases, on every entry of
+    levels 0-17; and no two entries share a key."""
+    synth._TABLE.ensure_length(17)
+    units = np.concatenate([level[0] for level in synth._TABLE.levels[:18]])
+    assert len(units) == sum(TABLE_LEVEL_SIZES[:18]) == 13_264
+    keys = synth._rotation_keys(synth._quaternions(units))
+    assert len(np.unique(keys, axis=0)) == len(units)
+    omega = np.exp(1j * np.pi / 4)
+    phases = [-1.0, 1j, omega, omega**-3, *np.exp(2j * np.pi * rng.uniform(size=5))]
+    for c in phases:
+        moved = synth._rotation_keys(synth._quaternions(c * units))
+        assert np.array_equal(moved, keys), c
 
 
 def test_table_words_spell_their_unitaries():
@@ -289,22 +303,13 @@ def test_nonconverged_reports_are_locked(theta, max_length):
         NONCONVERGED_REPORTS[theta, max_length])
 
 
-def traced_peak(fn, *args):
-    """Peak bytes that tracemalloc sees while fn(*args) runs."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_join_scratch_memory_is_bounded():
     """The join's scratch memory stays under 4 MiB: the widest hit search,
     (17, 17) at epsilon 0.015, and the unbounded-window rerun of a call that
-    never converges at the full budget. Measured 2.0 and 3.0 MiB, with the
-    level-17 quaternions built inside the first; the dense join of 2^18
-    pair cells a chunk peaked at 8.3 MiB on both."""
+    never converges at the full budget. Measured 1.5 and 2.5 MiB; each
+    level's sorted quaternions are built as the table grows, not inside
+    the join. The dense join of 2^18 pair cells a chunk peaked at 8.3 MiB
+    on both."""
     synth._TABLE.ensure_length(17)
     assert traced_peak(synth._TABLE.join, 17, 17, rz_matrix(0.3), 0.015) < 4 << 20
     assert traced_peak(approximate_rz, 0.1, 1e-9, DEFAULT_MAX_LENGTH) < 4 << 20

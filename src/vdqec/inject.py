@@ -85,9 +85,12 @@ _NO_RECORDS = (1.0, 1.0, 0)
 # 4096, 8192, 16384 and 2^16 (numpy 2.4, 2 cores, fresh process per run)
 _BLOCK_AMPS = 8192
 # amplitudes of the noiseless states run_campaign caches, G * 2^n for G
-# gates: 1 GiB of states. The largest circuit the pipeline builds, QPE with
-# 11 counting qubits and every rotation at the 34-symbol cap, has
-# 66 * (3 * 34 + 2) + 23 = 6,887 gates on 12 qubits, or 28,209,152
+# gates: 1 GiB of states. The largest circuit the pipeline builds is QPE
+# with 11 counting qubits compiled with every rotation at the
+# MAX_SEARCH_LENGTH cap of 34 symbols: each of its 66 ControlledPhase gates
+# becomes three rotations and two CNOTs and its 23 other gates pass
+# through, so it has 66 * (3 * 34 + 2) + 23 = 6,887 gates on 12 qubits,
+# or 28,209,152 amplitudes
 MAX_CACHED_AMPS = 2**26
 
 
@@ -167,20 +170,16 @@ def enumerate_sites(circuit: Circuit, mode: str = "mirrored") -> list[FaultSite]
 
 def _sites(gates, mode: str) -> list[FaultSite]:
     """The fault sites of enumerate_sites for `gates`, anything with
-    .qubits and .faultable, such as circuit.ops or profile.gates."""
-    sites = []
-    for i, op in enumerate(gates):
-        if not op.faultable:
-            continue
-        if len(op.qubits) == 1:
-            sites.extend(FaultSite(i, (p,)) for p in "XYZ")
-        elif mode == "mirrored":
-            sites.extend(FaultSite(i, (p, p)) for p in "XYZ")
-        else:
-            for pair in itertools.product("IXYZ", repeat=2):
-                if pair != ("I", "I"):
-                    sites.append(FaultSite(i, pair))
-    return sites
+    .qubits and .faultable, such as circuit.ops or profile.gates, in
+    campaign order: by gate index, then by the Pauli order of `paulis`."""
+
+    def paulis(k):
+        if mode == "mirrored":
+            return [(p,) * k for p in "XYZ"]
+        return list(itertools.product("IXYZ", repeat=k))[1:]  # [0] is the identity
+
+    return [FaultSite(i, ps) for i, op in enumerate(gates) if op.faultable
+            for ps in paulis(len(op.qubits))]
 
 
 def _image(amps, n, op, paulis):
@@ -193,24 +192,27 @@ def _image(amps, n, op, paulis):
 
 
 def _replay_psts(circuit: Circuit, prefixes, sites, rows) -> list[float]:
-    """PST of each site by block replay: chunks of at most
-    max(1, _BLOCK_AMPS >> n) consecutive sites share one (2^n, B) block,
-    allocated at the chunk's first gate. A site's image is written into
-    its own column at its gate, and every later gate is applied once to
-    the block. rows lists the basis states that read the correct
-    bitstring, in ascending order."""
+    """PST of each site by block replay. The sites, in campaign order, are
+    cut into chunks of at most max(1, _BLOCK_AMPS >> n), one (2^n, B)
+    block each. For each of a chunk's sites in turn, the block takes the
+    gates after the previous site's gate up to the site's own, then the
+    site's image in its own column; after the last site it takes the
+    tail, the gates left, once. rows lists the basis states that read the
+    correct bitstring, in ascending order."""
     n, ops = circuit.num_qubits, circuit.ops
     width = max(1, _BLOCK_AMPS >> n)
     psts = []
     for start in range(0, len(sites), width):
         chunk = sites[start:start + width]
-        block, k = np.zeros((1 << n, len(chunk)), dtype=complex), 0
-        for g in range(chunk[0].gate_index, len(ops)):
-            if k:  # a column joined at an earlier gate
-                block = _apply_op(block, n, ops[g])
-            while k < len(chunk) and chunk[k].gate_index == g:
-                block[:, k] = _image(prefixes[g], n, ops[g], chunk[k].paulis)
-                k += 1
+        block = np.zeros((1 << n, len(chunk)), dtype=complex)
+        g = chunk[0].gate_index
+        for k, site in enumerate(chunk):
+            for op in ops[g + 1:site.gate_index + 1]:
+                block = _apply_op(block, n, op)
+            g = site.gate_index
+            block[:, k] = _image(prefixes[g], n, ops[g], site.paulis)
+        for op in ops[g + 1:]:
+            block = _apply_op(block, n, op)
         psts += _readout(block, rows)
     return psts
 
@@ -218,29 +220,27 @@ def _replay_psts(circuit: Circuit, prefixes, sites, rows) -> list[float]:
 def _adjoint_psts(circuit: Circuit, prefixes, sites, rows) -> list[float]:
     """PST of each site by one backward sweep: the R basis states of `rows`
     walk back through the adjoint gates as one (2^n, R) block, which at
-    least one measured qubit bounds to R <= 2^(n-1) columns. At gate g
-    column r holds the conjugate of phi_r = U_{g+1}^dagger ... U_{G-1}^dagger
-    |r>, walked back by conj(U^dagger) = U^T, so that the block's transpose
-    is the bras <phi_r| without a copy; IEEE conjugation is exact, so the
-    scores are those of walking phi_r itself. A site at g with Pauli image
-    P scores sum_r |<phi_r | P psi_g>|^2, where psi_g is the cached state
+    least one measured qubit bounds to R <= 2^(n-1) columns. The sites,
+    in campaign order, are scored last first; before each, the block
+    walks back through the gates between the previous site's gate and its
+    own, so the walk stops at the first site's gate. At gate g column r holds the
+    conjugate of phi_r = U_{g+1}^dagger ... U_{G-1}^dagger |r>, walked
+    back by conj(U^dagger) = U^T, so that the block's transpose is the
+    bras <phi_r| without a copy; IEEE conjugation is exact, so the scores
+    are those of walking phi_r itself. A site at g with Pauli image P
+    scores sum_r |<phi_r | P psi_g>|^2, where psi_g is the cached state
     after gate g (arXiv:2009.02823)."""
     n, ops = circuit.num_qubits, circuit.ops
-    at_gate: dict[int, list[int]] = {}
-    for i, site in enumerate(sites):
-        at_gate.setdefault(site.gate_index, []).append(i)
-    first = min(at_gate, default=len(ops))
-    mass = np.zeros(len(sites))
     bra = np.zeros((1 << n, len(rows)), dtype=complex)
     bra[rows, np.arange(len(rows))] = 1.0
-    for g in range(len(ops) - 1, first - 1, -1):
-        for i in at_gate.get(g, ()):
-            amps = bra.T @ _image(prefixes[g], n, ops[g], sites[i].paulis)
-            mass[i] = np.sum(np.abs(amps) ** 2)
-        if g > first:
-            op = ops[g]
+    mass, g = [], len(ops) - 1
+    for site in reversed(sites):
+        for op in ops[g:site.gate_index:-1]:
             bra = _apply(bra, n, op.qubits, gate_matrix(op.kind, op.params).T)
-    return _above_min_prob(mass)
+        g = site.gate_index
+        amps = bra.T @ _image(prefixes[g], n, ops[g], site.paulis)
+        mass.append(np.sum(np.abs(amps) ** 2))
+    return _above_min_prob(mass[::-1])
 
 
 def _readout(block, rows) -> list[float]:

@@ -186,11 +186,11 @@ MAX_CONFIGS = 16
 
 
 def ladder_configs(configs) -> tuple[tuple[int, ...], ...]:
-    """Validated distance configs, at most MAX_CONFIGS and each at most
+    """Validated distance configs, 1 to MAX_CONFIGS of them and each at most
     once: a config names its assignment artifact and its rows in the sweep."""
-    if not isinstance(configs, (list, tuple)) or len(configs) > MAX_CONFIGS:
+    if not isinstance(configs, (list, tuple)) or not 1 <= len(configs) <= MAX_CONFIGS:
         raise ValidationError(
-            f"distance configs must be a list of at most {MAX_CONFIGS} configs"
+            f"distance configs must be a list of 1 to {MAX_CONFIGS} configs"
         )
     out = tuple(map(distance_config, configs))
     if len(set(out)) != len(out):
@@ -200,7 +200,8 @@ def ladder_configs(configs) -> tuple[tuple[int, ...], ...]:
 
 def ladder(profile: SensitivityProfile, configs, tau: float) -> list[CodeAssignment]:
     """One assignment per distance config: uniform for (d,), two-distance
-    for (d_low, d_high)."""
+    for (d_low, d_high). tau is checked even when no config uses it."""
+    check_tau(tau)
     out = []
     for cfg in ladder_configs(configs):
         if len(cfg) == 1:

@@ -332,6 +332,9 @@ def approximate_rz(
     epsilon = float(epsilon)
     max_length = int(max_length)
     check_budget(epsilon, max_length)
+    # no distance exceeds 1, so a larger epsilon accepts what 1 accepts;
+    # the cap also keeps the join's epsilon**2 from overflowing past 1.3e154
+    epsilon = min(epsilon, 1.0)
 
     target = rz_matrix(theta % (2 * np.pi))
     target_dag = target.conj().T

@@ -257,6 +257,8 @@ def test_tts_and_assign_reproduce_the_pipeline_ladder(tmp_path):
     {"distance_configs": ((3,), (3,))},
     {"distance_configs": ((2**53 + 1,),)},
     {"distance_configs": tuple((d,) for d in range(3, 37, 2))},
+    {"distance_configs": ()},
+    {"tau": float("nan")},
 ])
 def test_run_config_rejects_bad_values_at_construction(kwargs):
     with pytest.raises(ValidationError):
@@ -334,6 +336,12 @@ PROFILE_1Q = {
      ["inject", "--circuit", "{in}", "--bitstring", "0"]),
     ({**PROFILE_1Q, "gates": [[0, "H", [0], 10**400, False, 1.0, 1.0, 0]]},
      ["heatmap", "--profile", "{in}", "--out-csv", "{out}.csv", "--out-svg", "{out}.svg"]),
+    ({**PROFILE_1Q, "gates": [[0, "H", [0], 0, False, 1.0, 1.0, 0]]},
+     ["tts", "--profile", "{in}", "--configs", "3", "5", "--tau", "7", "--out-csv", "{out}.csv"]),
+    ({**PROFILE_1Q, "gates": [[0, "H", [0], 0, False, 1.0, 1.0, 0]]},
+     ["tts", "--profile", "{in}", "--configs", "3", "5", "--tau", "nan", "--out-csv", "{out}.csv"]),
+    ({**QUICK_CONFIG, "distance_configs": []},
+     ["pipeline", "--config", "{in}", "--out-dir", "{out}"]),
 ], ids=["config-list", "config-str-int", "timestep-str", "rz-nan", "shared-cell",
         "missing-dir", "theta-nan", "qubit-float", "num-qubits-float",
         "faultable-str", "timestep-inf", "profile-timestep-inf", "record-index-float",
@@ -344,7 +352,8 @@ PROFILE_1Q = {
         "bitstring-int-inject", "bitstring-list-compile", "bitstring-bad-compile",
         "bitstring-short-compile", "tts-distance-past-float", "assign-distance-2**53",
         "pipeline-distance-2**53", "tts-17-configs", "pipeline-17-configs",
-        "timestep-past-float", "profile-timestep-past-float"])
+        "timestep-past-float", "profile-timestep-past-float", "tts-tau-7-uniform",
+        "tts-tau-nan-uniform", "pipeline-no-configs"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, doc, argv):
     paths = {"in": str(tmp_path / "in.json"), "out": str(tmp_path / "out")}
     if doc is not None:
@@ -356,6 +365,7 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, doc, argv):
     assert result.returncode == 2, result.stderr
     assert result.stderr.startswith("error:"), result.stderr
     assert "Traceback" not in result.stderr
+    assert [p.name for p in tmp_path.iterdir()] == (["in.json"] if doc is not None else [])
 
 
 # one valid document per loader; the property below mutates them
@@ -503,6 +513,20 @@ def test_synth_output_is_locked(capsys):
     assert hashlib.sha256(out).hexdigest() == (
         "b8a45cfd492489fcf114f48c0d2269025c29c77c404b13cd8ce28c57374e8880"
     )
+
+
+def test_huge_synthesis_epsilon_is_capped(tmp_path, capsys):
+    """An epsilon past 1 runs as 1 instead of overflowing when squared."""
+    assert run("synth", "--theta", "1", "--epsilon", "1") == 0
+    expected = capsys.readouterr().out
+    assert run("synth", "--theta", "1", "--epsilon", "1e300") == 0
+    assert capsys.readouterr().out == expected
+    assert run("qpe", "--compile", "1e300", "-o", str(tmp_path / "qpe.json")) == 0
+    # every rotation compiles to the empty sequence, which leaves a nonzero
+    # noiseless PST for the campaign only at phase 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**QUICK_CONFIG, "synthesis_epsilon": 1e300, "phase_num": 0}))
+    assert run("pipeline", "--config", str(config), "--out-dir", str(tmp_path / "out")) == 0
 
 
 def test_profile_timestep_stays_below_2_pow_53():

@@ -14,7 +14,7 @@ from vdqec.inject import (
     profile_to_json,
     run_campaign,
 )
-from vdqec.qpe import build_qpe
+from vdqec.qpe import QpeSpec, build_qpe
 from vdqec.sim import (
     MAX_QUBITS,
     Circuit,
@@ -27,6 +27,7 @@ from vdqec.sim import (
     simulate,
     zero_state,
 )
+from vdqec.synth import MAX_SEARCH_LENGTH, compile_circuit
 
 
 def single_h():
@@ -259,6 +260,54 @@ def test_adjoint_sweep_holds_three_blocks(mode):
     assert peak < 3.5 * block, f"peak {peak / block:.2f} blocks"
 
 
+def applied_ops(monkeypatch, name, keep):
+    """The arguments of every call a sweep makes to inject's `name` that
+    `keep` accepts, collected as the calls run."""
+    fn, calls = getattr(inject_module, name), []
+
+    def counted(*args):
+        if keep(*args):
+            calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(inject_module, name, counted)
+    return calls
+
+
+def compiled_qpe():
+    circuit, correct = build_qpe()
+    return compile_circuit(circuit, 0.1), correct
+
+
+GATE_WALK_CASES = {"random": lambda: random_circuit(7, 18, 107, 5), "qpe-compiled": compiled_qpe}
+
+
+@pytest.mark.parametrize("mode", ["mirrored", "full-depolarizing"])
+@pytest.mark.parametrize("case", list(GATE_WALK_CASES))
+def test_each_sweep_applies_each_gate_between_sites_once(monkeypatch, case, mode):
+    """Apart from the Pauli images, the adjoint sweep walks its block back
+    through the G - 1 - f gates after the first site's gate f, last gate
+    first, and the replay walks each chunk through the G - 1 - f gates
+    after its first site's gate f, in circuit order."""
+    circuit, correct = GATE_WALK_CASES[case]()
+    ops, sites = circuit.ops, enumerate_sites(circuit, mode)
+    prefixes, rows = sweep_inputs(circuit, correct)
+    # the adjoint's block is 2-D; the images it scores are 1-D states
+    walked = applied_ops(monkeypatch, "_apply", lambda amps, *_: amps.ndim == 2)
+    inject_module._adjoint_psts(circuit, prefixes, sites, rows)
+    first = sites[0].gate_index
+    assert len(walked) == len(ops) - 1 - first
+    assert [qubits for _, _, qubits, _ in walked] == [op.qubits for op in ops[:first:-1]]
+
+    # chunks of 16 columns, which split a gate's 15 full-depolarizing sites
+    monkeypatch.setattr(inject_module, "_BLOCK_AMPS", 16 << circuit.num_qubits)
+    starts = [site.gate_index for site in sites[::16]]
+    replayed = applied_ops(monkeypatch, "_apply_op", lambda *_: True)
+    inject_module._replay_psts(circuit, prefixes, sites, rows)
+    assert len(replayed) == sum(len(ops) - 1 - f for f in starts)
+    assert [op for _, _, op in replayed] == [op for f in starts for op in ops[f + 1:]]
+
+
 def refuse(name):
     def sweep(*args):
         raise AssertionError(f"{name} ran")
@@ -306,9 +355,16 @@ def test_block_replay_edge_cases(monkeypatch):
 
 def test_campaign_refuses_circuits_past_the_state_cache_limit(monkeypatch, tmp_path):
     """G * 2^n cached amplitudes above MAX_CACHED_AMPS exit 2 before any
-    gate is simulated; the largest pipeline circuit, 6,887 gates on 12
-    qubits, stays below it."""
-    assert 6887 << MAX_QUBITS <= inject_module.MAX_CACHED_AMPS
+    gate is simulated; the largest pipeline circuit stays below it. That
+    is QPE on every qubit compiled with each rotation at the length cap:
+    a ControlledPhase becomes three rotations and two CNOTs, and the
+    other gates, none of them a rotation, pass through (66 and 23 gates,
+    6,887 compiled)."""
+    qpe, _ = build_qpe(QpeSpec(MAX_QUBITS - 1, 1, 2))
+    cp = sum(op.kind == "ControlledPhase" for op in qpe.ops)
+    assert not any(op.kind == "Rz" for op in qpe.ops)
+    largest = cp * (3 * MAX_SEARCH_LENGTH + 2) + len(qpe.ops) - cp
+    assert largest << MAX_QUBITS <= inject_module.MAX_CACHED_AMPS
     monkeypatch.setattr(inject_module, "_apply_op", refuse("_apply_op"))
     gates = (inject_module.MAX_CACHED_AMPS >> MAX_QUBITS) + 1
     ops = tuple(GateOp("X", (t % MAX_QUBITS,), (), t) for t in range(gates))

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -356,6 +358,14 @@ def test_rejects_bad_arguments():
             approximate_rz(theta, epsilon, 4)
     with pytest.raises(ValidationError):
         sequence_unitary("HQ")
+
+
+@pytest.mark.parametrize("epsilon", [1e155, 1e300, sys.float_info.max])
+def test_huge_epsilon_reports_as_epsilon_one(epsilon):
+    """No distance exceeds 1, so an epsilon past 1 accepts what 1 accepts;
+    squared as a float, such an epsilon overflows."""
+    for theta, max_length in ((1.0, 8), (-2.5, 20)):
+        assert approximate_rz(theta, epsilon, max_length) == approximate_rz(theta, 1.0, max_length)
 
 
 def test_compile_passes_clifford_through():

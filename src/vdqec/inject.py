@@ -418,6 +418,8 @@ def _check_consistent(profile: SensitivityProfile) -> None:
             bad(f"gate {i} touches a qubit outside [0, {n}): {g.qubits}")
         if not 0 <= g.timestep < MAX_TIMESTEP:
             bad(f"gate {i} has timestep {g.timestep} outside [0, 2**53)")
+        if i and g.timestep < gates[i - 1].timestep:
+            bad(f"gate {i} has timestep {g.timestep}, before gate {i - 1}'s")
     sites = _sites(gates, profile.mode)
     if [rec.site for rec in profile.records] != sites:
         bad(f"the records are not the {len(sites)} {profile.mode} fault sites "

@@ -2,8 +2,9 @@
 
 A RunConfig pins every knob, so a pipeline run is a pure function of its
 config; artifacts are written atomically (a .partial temp file renamed
-on success, so an interrupted run leaves only .partial debris) and a
-manifest records the digest of every artifact for staleness checks.
+on success and removed on a failed write, so only an interrupted run
+leaves .partial debris) and a manifest records the digest of every
+artifact for staleness checks.
 """
 
 from __future__ import annotations
@@ -121,10 +122,18 @@ def circuit_bytes(circuit: Circuit, correct: str | None) -> bytes:
 
 
 def write_atomic(path: str, data: bytes) -> None:
+    """Write data to path.partial and rename it to path. If the write or
+    the rename fails, the .partial file is removed before the error is
+    re-raised."""
     tmp = path + ".partial"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _label_filename(label: str) -> str:

@@ -142,8 +142,7 @@ def assign_two_distance(
     """Escalate each qubit from d_low to d_high at its earliest cell whose
     mean relative PST drops below tau; qubits that never drop stay low."""
     check_tau(tau)
-    if d_high < d_low:
-        raise ValidationError("d_high must be >= d_low")
+    distance_config((d_low, d_high))
     cells = profile.cells
     schedules = []
     for q in range(profile.num_qubits):

@@ -36,9 +36,10 @@ against the prefixes inside that window, widened by a rounding slack
 exact test, the complex overlap and the junction mask, and the least
 (prefix rank, suffix rank) hit is the first hit in lexicographic order.
 A miss returns no pairs. Only a search that never converges reruns its
-joins, with a window bounded by the best pair found instead of by
-epsilon, to collect the pairs within 1e-9 of each length's least
-distance.
+joins, each asking for every pair within the best distance found at a
+shorter length (2 at the start): only such a pair can replace the best,
+and every witness of the least-distance rotation lies inside that one
+window too.
 
 The join rounds its overlaps differently from a scan of level L, so a
 distance within about 1e-16 of epsilon could in principle fall on the
@@ -160,13 +161,12 @@ class _SearchTable:
         self._views.append((q, q[:, 0].copy(), order))
 
     def join(self, i: int, j: int, target: np.ndarray, epsilon: float,
-             nearest: bool = False):
+             every: bool = False):
         """Find the first word P.S (P in level i, S in level j, junction in
         normal form) in lexicographic order within epsilon of target.
         Returns (hit, prefix ranks, suffix ranks): the first hit alone, or
-        no pairs on a miss. With nearest the window is not bounded by
-        epsilon but by the best pair found so far, and a miss returns every
-        pair within 1e-9 of the least distance."""
+        no pairs on a miss. With every it returns every such pair within
+        epsilon, in the same order."""
         keys, key0, order = self._views[i]
         prefix, prefix_words = self.levels[i]
         suffix, suffix_words = self.levels[j]
@@ -182,13 +182,11 @@ class _SearchTable:
         last = _last(prefix_words)
         allowed = (self._allowed[:, suffix_words[:, 0]] if j
                    else np.ones((7, 1), dtype=bool))
-        floor = 1.0 - epsilon**2 - _SLACK
+        cut = 1.0 - epsilon**2 - _SLACK
+        half = math.sqrt(2.0 * (1.0 - cut + _SLACK))
         total = len(prefix) * n
-        best, top, near, start = total, -np.inf, [], 0
-        # the nearest search starts unbounded and narrows as its top rises
-        cut = -np.inf if nearest else floor
+        best, found, start = total, [], 0
         while start < 2 * n:
-            half = math.sqrt(2.0 * (1.0 - cut + _SLACK))
             block = signed[start : start + _BLOCK]
             lo, hi = key0.searchsorted((block[0, 0] - half, block[-1, 0] + half))
             ranks, window = order[lo:hi], keys[lo:hi]
@@ -201,11 +199,6 @@ class _SearchTable:
             if not len(ranks):
                 continue
             dots = block @ window.T
-            if nearest:
-                dots[~allowed[np.ix_(last[ranks], block_ranks)].T] = -np.inf
-                top = max(top, dots.max())
-                # d <= least d + 1e-9 implies |q_P.q_S| >= top - 2e-9 - 2 slack
-                cut = min(floor, top - 3e-9)
             if dots.max() < cut:
                 continue
             b, w = np.nonzero(dots >= cut)
@@ -213,23 +206,21 @@ class _SearchTable:
             cells = p * n + s
             keep = cells < best
             p, s, cells = p[keep], s[keep], cells[keep]
-            if not cells.size:
-                continue
             tr = _overlap(flat[p], v_conj[s])
             tr[~allowed[last[p], s]] = -np.inf
-            d = _distance(tr)
-            hits = d <= epsilon
-            if hits.any():
-                best = int(cells[hits].min())
-            elif nearest:
-                near.append((cells, d))
-        if best < total:
-            return True, np.array([best // n]), np.array([best % n])
-        if not near:
-            return False, np.empty(0, dtype=int), np.empty(0, dtype=int)
-        cells, d = (np.concatenate(x) for x in zip(*near))
-        cells = np.unique(cells[d <= d.min() + 1e-9])
-        return False, cells // n, cells % n
+            hits = cells[_distance(tr) <= epsilon]
+            if every:
+                found.append(hits)
+            elif hits.size:
+                best = int(hits.min())
+        if every:
+            # rank order, once each: a wide epsilon scores a pair near both
+            # +q_S and -q_S (np.unique would import numpy.ma, about 1.5 MB)
+            cells = np.sort(np.concatenate([np.empty(0, dtype=int), *found]))
+            cells = cells[np.diff(cells, prepend=-1) > 0]
+        else:
+            cells = np.array([best] if best < total else [], dtype=int)
+        return bool(cells.size), *np.divmod(cells, n)
 
     def words(self, i: int, prefix: np.ndarray, j: int, suffix: np.ndarray,
               target_dag: np.ndarray):
@@ -349,7 +340,10 @@ def approximate_rz(
             return ApproxReport(seq, theta, float(d[0]), length, True)
     best = (2.0, "")
     for i, j in splits:
-        _, p, s = _TABLE.join(i, j, target, epsilon, nearest=True)
+        # only a pair within the best distance so far can replace it
+        hit, p, s = _TABLE.join(i, j, target, best[0], every=True)
+        if not hit:
+            continue
         u, d = _TABLE.words(i, p, j, s, target_dag)
         # score each rotation by its least witness, as the table stores it
         _, first = np.unique(_rotation_keys(_quaternions(u)), axis=0, return_index=True)

@@ -233,13 +233,12 @@ def table_scan_rz(theta, epsilon, max_length):
     return synth.ApproxReport(seq, theta, best[0], best[1], False)
 
 
-def dense_join_scan(i, j, target, epsilons):
-    """Oracle for _SearchTable.join: score every pair P.S of table levels i
-    and j with the complex overlap |tr(V_S^dag U_P)|, V_S = U_S^dag target,
-    in prefix rank order, and return per epsilon the first
-    (prefix rank, suffix rank) within epsilon whose junction is in normal
-    form, or None. The overlap is summed term by term in the order of the
-    join's exact test, so that the two round alike."""
+def _dense_join_distances(i, j, target):
+    """Distances of every pair P.S of table levels i and j, as (first
+    prefix rank, block of prefix rows x suffix ranks) chunks, with the
+    complex overlap |tr(V_S^dag U_P)|, V_S = U_S^dag target, and inf where
+    the junction is not in normal form. The overlap is summed term by term
+    in the order of the join's exact test, so that the two round alike."""
     from vdqec import synth
 
     prefix, prefix_words = synth._TABLE.levels[i]
@@ -249,7 +248,6 @@ def dense_join_scan(i, j, target, epsilons):
     # junction[a, b]: may symbol b follow symbol a
     junction = np.array([[synth.is_normal_form(a + b) for b in synth.SYMBOLS]
                          for a in synth.SYMBOLS])
-    hits = {}
     rows = max(1, 2**16 // len(v))
     for r0 in range(0, len(u), rows):
         a = u[r0 : r0 + rows, None, :]
@@ -259,6 +257,16 @@ def dense_join_scan(i, j, target, epsilons):
         if i and j:
             last = prefix_words[r0 : r0 + rows, -1]
             d[~junction[np.ix_(last, suffix_words[:, 0])]] = np.inf
+        yield r0, d
+
+
+def dense_join_scan(i, j, target, epsilons):
+    """Oracle for _SearchTable.join: score every pair P.S of table levels i
+    and j in prefix rank order, and return per epsilon the first
+    (prefix rank, suffix rank) within epsilon whose junction is in normal
+    form, or None."""
+    hits = {}
+    for r0, d in _dense_join_distances(i, j, target):
         for eps in set(epsilons) - set(hits):
             found = np.argwhere(d <= eps)
             if len(found):
@@ -266,6 +274,17 @@ def dense_join_scan(i, j, target, epsilons):
         if len(hits) == len(epsilons):
             break
     return [hits.get(eps) for eps in epsilons]
+
+
+def dense_join_every(i, j, target, epsilons):
+    """Oracle for _SearchTable.join with every=True: per epsilon, every
+    (prefix rank, suffix rank) pair of table levels i and j within epsilon
+    whose junction is in normal form, in rank order, as an (m, 2) array."""
+    found = {eps: [np.empty((0, 2), dtype=int)] for eps in epsilons}
+    for r0, d in _dense_join_distances(i, j, target):
+        for eps in epsilons:
+            found[eps].append(np.argwhere(d <= eps) + (r0, 0))
+    return [np.concatenate(found[eps]) for eps in epsilons]
 
 
 @pytest.fixture(autouse=True)

@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 from vdqec.cli import main, parse_theta
 from vdqec.errors import ValidationError
 from vdqec.inject import profile_from_json
-from vdqec.pipeline import RunConfig, circuit_bytes, config_from_json, run_pipeline
+from vdqec.pipeline import (
+    RunConfig,
+    circuit_bytes,
+    config_from_json,
+    run_pipeline,
+    write_atomic,
+)
 from vdqec.qpe import QpeSpec, build_qpe
 from vdqec.qecc import assignment_from_json
 from vdqec.sim import GATE_SIGNATURES, MAX_QUBITS, circuit_from_json
@@ -165,6 +171,18 @@ def test_pipeline_writes_all_artifacts(tmp_path):
     assert not any(n.endswith(".partial") for n in names)
     manifest = read_json(out / "manifest.json")
     assert set(manifest["artifacts"]) == names - {"manifest.json"}
+
+
+def test_failed_write_leaves_no_partial_file(tmp_path):
+    """A write that fails, in the rename (the name is taken by a directory)
+    or in the write itself, removes its .partial file."""
+    taken = tmp_path / "DIR"
+    taken.mkdir()
+    assert run("qpe", "-o", str(taken)) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["DIR"]
+    with pytest.raises(TypeError):
+        write_atomic(str(tmp_path / "out.json"), "not bytes")
+    assert [p.name for p in tmp_path.iterdir()] == ["DIR"]
 
 
 # sha256 of manifest.json for five reference configs: the default run, the
@@ -342,6 +360,9 @@ PROFILE_1Q = {
      ["tts", "--profile", "{in}", "--configs", "3", "5", "--tau", "nan", "--out-csv", "{out}.csv"]),
     ({**QUICK_CONFIG, "distance_configs": []},
      ["pipeline", "--config", "{in}", "--out-dir", "{out}"]),
+    ({**PROFILE_1Q, "gates": [[0, "H", [0], 1, False, 1.0, 1.0, 0],
+                              [1, "H", [0], 0, False, 1.0, 1.0, 0]]},
+     ["assign", "--profile", "{in}"]),
 ], ids=["config-list", "config-str-int", "timestep-str", "rz-nan", "shared-cell",
         "missing-dir", "theta-nan", "qubit-float", "num-qubits-float",
         "faultable-str", "timestep-inf", "profile-timestep-inf", "record-index-float",
@@ -353,7 +374,7 @@ PROFILE_1Q = {
         "bitstring-short-compile", "tts-distance-past-float", "assign-distance-2**53",
         "pipeline-distance-2**53", "tts-17-configs", "pipeline-17-configs",
         "timestep-past-float", "profile-timestep-past-float", "tts-tau-7-uniform",
-        "tts-tau-nan-uniform", "pipeline-no-configs"])
+        "tts-tau-nan-uniform", "pipeline-no-configs", "profile-timestep-decreasing"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, doc, argv):
     paths = {"in": str(tmp_path / "in.json"), "out": str(tmp_path / "out")}
     if doc is not None:
@@ -460,6 +481,7 @@ def assert_profile_makes_sense(profile):
         assert abs(r.relative_pst - r.pst_noisy / profile.pst_ideal) <= 1e-12
     for i, g in enumerate(gates):
         assert g.gate_index == i
+        assert i == 0 or gates[i - 1].timestep <= g.timestep
         assert GATE_SIGNATURES[g.kind][0] == len(g.qubits)
         assert all(0 <= q < n for q in g.qubits)
         rel = [r.relative_pst for r in profile.records if r.site.gate_index == i]

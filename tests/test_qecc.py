@@ -179,6 +179,17 @@ def test_assign_all_quiet_cells_stays_low():
     assert a.schedules == uniform_assignment(profile.num_qubits, 3).schedules
 
 
+def test_assign_two_distance_checks_both_distances_at_any_tau():
+    """The pair is validated before any qubit is looked at, so an even
+    d_high is refused also when tau 0 escalates no qubit."""
+    _, profile = _profile()
+    for tau in (0.0, 0.9):
+        with pytest.raises(AssignmentError):
+            assign_two_distance(profile, 3, 4, tau)
+        with pytest.raises(ValidationError):
+            assign_two_distance(profile, 5, 3, tau)
+
+
 def test_assign_target_qubit_never_escalates():
     # qubit 5 idles after prep, so its cells stay at 1.0
     _, profile = _profile()

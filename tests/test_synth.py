@@ -3,7 +3,13 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import dense_circuit_unitary, dense_join_scan, table_scan_rz, traced_peak
+from conftest import (
+    dense_circuit_unitary,
+    dense_join_every,
+    dense_join_scan,
+    table_scan_rz,
+    traced_peak,
+)
 from vdqec.errors import CompileError, ValidationError
 from vdqec.qpe import QpeSpec, build_qpe
 from vdqec.sim import Circuit, GateOp, rz_matrix
@@ -282,6 +288,32 @@ def test_join_matches_dense_scan_at_window_edges(rng):
                     assert (int(p[0]), int(s[0])) == first, (i, j, eps)
 
 
+def test_join_every_matches_dense_scan(rng):
+    """With every=True the join returns every normal-form pair within
+    epsilon, in (prefix rank, suffix rank) order, as a dense scan finds
+    them: for an Rz target and for targets at distance exactly epsilon from
+    a table pair, with both signs, so that only the -q_S window holds the
+    pair for one of them."""
+    table = synth._TABLE
+    table.ensure_length(17)
+    epsilons = (0.3, 0.05, 0.012)
+    for i, j in ((2, 1), (6, 5), (11, 11), (17, 16)):
+        prefix, suffix = table.levels[i][0], table.levels[j][0]
+        while True:
+            a, b = int(rng.integers(len(prefix))), int(rng.integers(len(suffix)))
+            if is_normal_form(table.sequence(i, a, j, b)):
+                break
+        cases = [(rz_matrix(rng.uniform(0, 2 * np.pi)), epsilons)]
+        for eps in epsilons:
+            edge = edge_target(prefix[a], suffix[b], eps)
+            cases += [(edge, (eps,)), (-edge, (eps,))]
+        for target, eps_list in cases:
+            for eps, want in zip(eps_list, dense_join_every(i, j, target, eps_list)):
+                hit, p, s = table.join(i, j, target, eps, every=True)
+                assert hit == bool(len(want)), (i, j, eps)
+                assert np.array_equal(np.column_stack([p, s]), want), (i, j, eps)
+
+
 # approximate_rz reports on the non-converged path past the lengths that
 # test_join_matches_table_scan reaches, as the dense join found them
 NONCONVERGED_REPORTS = {
@@ -307,11 +339,11 @@ def test_nonconverged_reports_are_locked(theta, max_length):
 
 def test_join_scratch_memory_is_bounded():
     """The join's scratch memory stays under 4 MiB: the widest hit search,
-    (17, 17) at epsilon 0.015, and the unbounded-window rerun of a call that
-    never converges at the full budget. Measured 1.5 and 2.5 MiB; each
-    level's sorted quaternions are built as the table grows, not inside
-    the join. The dense join of 2^18 pair cells a chunk peaked at 8.3 MiB
-    on both."""
+    (17, 17) at epsilon 0.015, and the reruns of a call that never
+    converges at the full budget, each within the best distance so far.
+    Measured 1.5 and 1.5 MiB; each level's sorted quaternions are built
+    as the table grows, not inside the join. The dense join of 2^18 pair
+    cells a chunk peaked at 8.3 MiB on both."""
     synth._TABLE.ensure_length(17)
     assert traced_peak(synth._TABLE.join, 17, 17, rz_matrix(0.3), 0.015) < 4 << 20
     assert traced_peak(approximate_rz, 0.1, 1e-9, DEFAULT_MAX_LENGTH) < 4 << 20

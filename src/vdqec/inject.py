@@ -18,22 +18,25 @@ fault sites are scored by one of two sweeps, which agree to within 1e-12:
     correct bitstring (m measured qubits) backwards through the adjoint
     gates once, and scores a site at g as sum_r |<phi_r|P.psi_g>|^2,
     with phi_r the row walked back to gate g (Jones and Gacon,
-    arXiv:2009.02823); it costs about R(G + S) column-gate products for
-    G gates and S sites;
-  * the block replay replays consecutive sites together in one (2^n, B)
-    block, one column per site: a column joins the block at its gate and
-    every later gate is applied once to the whole block; it costs the
-    sum over sites of the gates after each site's own.
+    arXiv:2009.02823). It builds no image: at each gate with sites it
+    sums bra times ket over the qubits the gate does not touch, once per
+    pair of values of the touched ones, and scores all of the gate's
+    Paulis from that reduced overlap. It costs about R(G + S) row-gate
+    products for G gates and S sites;
+  * the block replay replays consecutive sites together in one (B, 2^n)
+    block, one row per site: a row joins the block at its gate and every
+    later gate is applied once to the whole block; it costs the sum over
+    sites of the gates after each site's own.
 
 run_campaign takes the adjoint sweep when its cost is at most the
 replay's, as for the QPE benchmarks (R = 2), and the block replay
 otherwise, as when few qubits are measured. The adjoint sweep holds all
-R rows in one block, at most 2^(n-1) columns since a qubit is measured;
-the replay holds at most _BLOCK_AMPS amplitudes in a chunk of columns.
-On 4 or more qubits a replayed column comes out bitwise equal to a
-replay of its site alone, so those records do not depend on the chunk
-size; on fewer, the BLAS product of a block can round differently from
-that of one state, by a few 1e-16. One readout, bitwise equal to
+R rows in one block, at most 2^(n-1) rows since a qubit is measured;
+the replay holds at most _BLOCK_AMPS amplitudes in a chunk of rows.
+Both apply gates with sim's elementwise kernel and sum in a fixed order,
+with no BLAS product, so the records do not depend on the host's BLAS
+kernel, and a replayed row comes out bitwise equal to a replay of its
+site alone, whatever the chunk size. One readout, bitwise equal to
 pst(output_distribution(...)), scores the noiseless run and every
 replayed site. The cached states hold G * 2^n amplitudes for G gates,
 which MAX_CACHED_AMPS bounds.
@@ -46,6 +49,7 @@ one qubit at one timestep are rejected.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -62,6 +66,7 @@ from .sim import (
     _apply,
     _apply_op,
     _outcome_keys,
+    _slices,
     check_bitstring,
     circuit_digest,
     gate_matrix,
@@ -75,7 +80,7 @@ MODES = ("mirrored", "full-depolarizing")
 _TOL = 1e-12
 # (mean, min, count) reported for a gate without records
 _NO_RECORDS = (1.0, 1.0, 0)
-# amplitudes in one chunk of the block replay (columns times 2^n). The block
+# amplitudes in one chunk of the block replay (rows times 2^n). The block
 # replay of QPE with 8 counting qubits at eps 0.1 and one measured qubit
 # (256 rows, 497 gates, 1,737 full-depolarizing sites) took 1.9 s at 4096,
 # 1.3 s at 8192, 2.0 s at 16384, 2.7 s at 2^16 and 3.5 s at 2^20, where
@@ -193,61 +198,91 @@ def _image(amps, n, op, paulis):
 
 def _replay_psts(circuit: Circuit, prefixes, sites, rows) -> list[float]:
     """PST of each site by block replay. The sites, in campaign order, are
-    cut into chunks of at most max(1, _BLOCK_AMPS >> n), one (2^n, B)
-    block each. For each of a chunk's sites in turn, the block takes the
-    gates after the previous site's gate up to the site's own, then the
-    site's image in its own column; after the last site it takes the
-    tail, the gates left, once. rows lists the basis states that read the
-    correct bitstring, in ascending order."""
+    cut into chunks of at most max(1, _BLOCK_AMPS >> n), one (B, 2^n)
+    block each, one state per row. For each of a chunk's sites in turn,
+    the block takes the gates after the previous site's gate up to the
+    site's own, then the site's image in its own row; after the last site
+    it takes the tail, the gates left, once. rows lists the basis states
+    that read the correct bitstring, in ascending order."""
     n, ops = circuit.num_qubits, circuit.ops
     width = max(1, _BLOCK_AMPS >> n)
     psts = []
     for start in range(0, len(sites), width):
         chunk = sites[start:start + width]
-        block = np.zeros((1 << n, len(chunk)), dtype=complex)
+        block = np.zeros((len(chunk), 1 << n), dtype=complex)
         g = chunk[0].gate_index
         for k, site in enumerate(chunk):
             for op in ops[g + 1:site.gate_index + 1]:
                 block = _apply_op(block, n, op)
             g = site.gate_index
-            block[:, k] = _image(prefixes[g], n, ops[g], site.paulis)
+            block[k] = _image(prefixes[g], n, ops[g], site.paulis)
         for op in ops[g + 1:]:
             block = _apply_op(block, n, op)
         psts += _readout(block, rows)
     return psts
 
 
+@functools.cache
+def _pauli_stack(labels) -> np.ndarray:
+    """The matrices of the Pauli products in `labels`, stacked as
+    (S, 2^k, 2^k); labels[s][i] acts on the gate's qubit i, the first the
+    most significant bit of the matrix index. Every entry is 0, +-1 or
+    +-i, so each product with an amplitude is exact."""
+    mats = []
+    for paulis in labels:
+        mat = np.ones((1, 1), dtype=complex)
+        for p in paulis:
+            mat = np.kron(mat, np.eye(2) if p == "I" else gate_matrix(p))
+        mats.append(mat)
+    return np.array(mats)
+
+
+def _reduced_overlap(bra, psi, qubits) -> np.ndarray:
+    """red[a, b, r] = sum over the other qubits' bits of bra[r, ..a..] *
+    psi[..b..], with a and b the values of the target qubits in matrix-index
+    order: one fixed-order einsum on strided views per (a, b), no copy.
+    bra is an (R, 2^n) block and psi one state."""
+    bras, kets = _slices(bra, qubits), _slices(psi, qubits)
+    axes = "ijk"[:kets[0].ndim]
+    spec = f"r{axes},{axes}->r"
+    return np.array([[np.einsum(spec, x, y) for y in kets] for x in bras])
+
+
 def _adjoint_psts(circuit: Circuit, prefixes, sites, rows) -> list[float]:
     """PST of each site by one backward sweep: the R basis states of `rows`
-    walk back through the adjoint gates as one (2^n, R) block, which at
-    least one measured qubit bounds to R <= 2^(n-1) columns. The sites,
-    in campaign order, are scored last first; before each, the block
-    walks back through the gates between the previous site's gate and its
-    own, so the walk stops at the first site's gate. At gate g column r holds the
-    conjugate of phi_r = U_{g+1}^dagger ... U_{G-1}^dagger |r>, walked
-    back by conj(U^dagger) = U^T, so that the block's transpose is the
-    bras <phi_r| without a copy; IEEE conjugation is exact, so the scores
-    are those of walking phi_r itself. A site at g with Pauli image P
-    scores sum_r |<phi_r | P psi_g>|^2, where psi_g is the cached state
-    after gate g (arXiv:2009.02823)."""
+    walk back through the adjoint gates as one (R, 2^n) block, one row
+    each, which at least one measured qubit bounds to R <= 2^(n-1) rows.
+    The gates with sites are scored last first; before each, the block
+    walks back through the gates between the previous such gate and it, so
+    the walk stops at the first site's gate. At gate g row r holds the
+    conjugate of phi_r = U_{g+1}^dagger ... U_{G-1}^dagger |r>, walked back
+    by conj(U^dagger) = U^T; IEEE conjugation is exact, so the scores are
+    those of walking phi_r itself. A site at g with Pauli product P scores
+    sum_r |<phi_r | P psi_g>|^2, where psi_g is the cached state after
+    gate g (arXiv:2009.02823). The gate's reduced overlap red holds every
+    such overlap before P, so <phi_r | P psi_g> = sum_ab P[a, b] red[a, b, r]
+    for each site of the gate at once, and no Pauli image is built."""
     n, ops = circuit.num_qubits, circuit.ops
-    bra = np.zeros((1 << n, len(rows)), dtype=complex)
-    bra[rows, np.arange(len(rows))] = 1.0
+    bra = np.zeros((len(rows), 1 << n), dtype=complex)
+    bra[np.arange(len(rows)), rows] = 1.0
+    groups = [(g, tuple(s.paulis for s in group))
+              for g, group in itertools.groupby(sites, key=lambda s: s.gate_index)]
     mass, g = [], len(ops) - 1
-    for site in reversed(sites):
-        for op in ops[g:site.gate_index:-1]:
+    for gate, labels in reversed(groups):
+        for op in ops[g:gate:-1]:
             bra = _apply(bra, n, op.qubits, gate_matrix(op.kind, op.params).T)
-        g = site.gate_index
-        amps = bra.T @ _image(prefixes[g], n, ops[g], site.paulis)
-        mass.append(np.sum(np.abs(amps) ** 2))
-    return _above_min_prob(mass[::-1])
+        g = gate
+        red = _reduced_overlap(bra, prefixes[g], ops[g].qubits)
+        amps = np.einsum("sab,abr->sr", _pauli_stack(labels), red)
+        mass.append(np.sum(amps.real ** 2 + amps.imag ** 2, axis=1))
+    return _above_min_prob(np.concatenate(mass[::-1])) if mass else []
 
 
 def _readout(block, rows) -> list[float]:
-    """PST of each column of a (2^n, B) block, as pst(output_distribution)
-    gives it: cumsum adds the rows in ascending order, as np.add.at does,
-    while np.sum and a single-column np.add.reduce add pairwise."""
-    return _above_min_prob(np.cumsum(np.abs(block[rows]) ** 2, axis=0)[-1])
+    """PST of each row of a (B, 2^n) block, as pst(output_distribution)
+    gives it: cumsum adds the amplitudes in ascending order, as np.add.at
+    does, while np.sum and a single-row np.add.reduce add pairwise."""
+    return _above_min_prob(np.cumsum(np.abs(block[:, rows]) ** 2, axis=1)[:, -1])
 
 
 def _above_min_prob(mass) -> list[float]:
@@ -274,7 +309,7 @@ def run_campaign(
     """Simulate every fault site exactly and aggregate the results.
 
     The sites of enumerate_sites are scored by the adjoint sweep or by
-    the block replay, whichever needs fewer column-gate products (see
+    the block replay, whichever needs fewer row-gate products (see
     the module docstring). Raises ValidationError, before simulating,
     when the cached states would exceed MAX_CACHED_AMPS amplitudes.
     """
@@ -294,16 +329,16 @@ def run_campaign(
     for op in circuit.ops:
         amps = _apply_op(amps, n, op)
         prefixes.append(amps)
-    (pst_ideal,) = _readout(amps[:, None], rows)
+    (pst_ideal,) = _readout(amps[None], rows)
     if pst_ideal <= 0.0:
         raise CampaignError(
             "noiseless PST is zero; relative sensitivity is undefined"
         )
 
     sites = enumerate_sites(circuit, mode)
-    # column-gate products: the backward sweep walks R rows through every
+    # row-gate products: the backward sweep walks R rows through every
     # gate and takes R overlaps per site; the replay walks each site's
-    # column through the gates after its own
+    # row through the gates after its own
     replayed = sum(len(circuit.ops) - 1 - s.gate_index for s in sites)
     adjoint = len(rows) * (len(circuit.ops) + len(sites)) <= replayed
     noisy = (_adjoint_psts if adjoint else _replay_psts)(circuit, prefixes, sites, rows)

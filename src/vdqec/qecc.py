@@ -341,7 +341,10 @@ def log_p_grid(p_min: float, p_max: float, points: int) -> np.ndarray:
         raise ValidationError(
             f"grid needs 2 to {MAX_GRID_POINTS} points, got {points}"
         )
-    return np.logspace(np.log10(p_min), np.log10(p_max), points)
+    grid = np.logspace(np.log10(p_min), np.log10(p_max), points)
+    # 10**log10(p) can miss p by an ulp; the ends are the bounds asked for
+    grid[0], grid[-1] = p_min, p_max
+    return grid
 
 
 def sweep_tts(

@@ -7,7 +7,11 @@ Conventions:
   * ControlledPhase(theta) is diag(1, 1, 1, e^{i theta}) with
     qubits = (control, target), although the gate is symmetric;
   * output distributions are computed by exact marginalization, never by
-    sampling, so repeated runs are bit-identical.
+    sampling, so repeated runs are bit-identical;
+  * one kernel, _apply, applies every gate, to a state or to a block of
+    states one per row, by elementwise sums over strided views in a fixed
+    order: no BLAS product rounds an amplitude, so the results do not
+    depend on the host's BLAS kernel or on the block a state rides in.
 """
 
 from __future__ import annotations
@@ -183,23 +187,56 @@ def zero_state(num_qubits: int) -> StateVector:
     return StateVector(num_qubits, amps)
 
 
+def _slices(amps: np.ndarray, qubits: tuple[int, ...]) -> list[np.ndarray]:
+    """The 2^k strided views of amps, one per value of the k target qubits
+    in matrix-index order (qubits[0] the most significant bit); view i
+    holds every amplitude whose target bits read i, of every state.
+
+    amps is one state of shape (2^n,) or a C-contiguous block of states of
+    shape (B, 2^n), one state per row, whose views keep the leading B
+    axis; neither reshape copies."""
+    lead = amps.shape[:-1]
+    if len(qubits) == 1:
+        psi = amps.reshape(*lead, -1, 2, 1 << qubits[0])
+        return [psi[..., 0, :], psi[..., 1, :]]
+    a, b = qubits
+    lo, hi = min(a, b), max(a, b)
+    psi = amps.reshape(*lead, -1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    if a == hi:
+        return [psi[..., i >> 1, :, i & 1, :] for i in range(4)]
+    return [psi[..., i & 1, :, i >> 1, :] for i in range(4)]
+
+
 def _apply(amps: np.ndarray, n: int, qubits: tuple[int, ...], mat: np.ndarray) -> np.ndarray:
     """Apply a 2^k x 2^k matrix to the k target qubits (first qubit is the
-    most significant bit of the matrix index).
+    most significant bit of the matrix index), returning a new array.
 
     amps is one state of shape (2^n,) or a block of states of shape
-    (2^n, B), one state per column; the result has the same shape.
+    (B, 2^n), one state per row. Each output view is the sum, in index
+    order, of the input views whose matrix entry is nonzero: an entry of 1
+    is a copy and any other a scale. So a diagonal gate scales, X and CNOT
+    copy, and H adds two scaled halves. Every amplitude is computed
+    elementwise from its own state, so a state's result does not depend on
+    the block it rides in, and no BLAS product rounds it.
     """
-    k = len(qubits)
-    targets = [n - 1 - q for q in qubits]
-    # target axes first, the other qubit axes in order, the batch axis last:
-    # the views np.moveaxis builds, without its argument checks (about 4 us
-    # a call with numpy 2.4); a single state has a batch axis of length 1,
-    # so it reaches tensordot with the same 2-D operands as a bare vector
-    order = targets + [a for a in range(n + 1) if a not in targets]
-    psi = amps.reshape([2] * n + [-1]).transpose(order)
-    psi = np.tensordot(mat.reshape([2] * (2 * k)), psi, axes=(range(k, 2 * k), range(k)))
-    return psi.transpose(np.argsort(order)).reshape(amps.shape)
+    rows = mat.tolist()
+    # a row of the identity keeps its view: one contiguous copy of the whole
+    # array covers those views, and the loop skips them. The result is
+    # C-ordered whatever amps is, so that its views write into it
+    kept = [all(m == (i == o) for i, m in enumerate(row)) for o, row in enumerate(rows)]
+    out = amps.copy(order="C") if any(kept) else np.empty_like(amps, order="C")
+    ins = _slices(amps, qubits)
+    for y, row, keep in zip(_slices(out, qubits), rows, kept):
+        if keep:
+            continue
+        (m, x), *rest = [(m, x) for m, x in zip(row, ins) if m != 0]
+        if m == 1:
+            np.copyto(y, x)
+        else:
+            np.multiply(x, m, out=y)
+        for m, x in rest:
+            y += x if m == 1 else x * m
+    return out
 
 
 def _apply_op(amps: np.ndarray, n: int, op: GateOp) -> np.ndarray:

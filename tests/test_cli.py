@@ -194,25 +194,25 @@ def test_failed_write_leaves_no_partial_file(tmp_path):
 # sweep. A change that moves artifact bytes on purpose updates the digests
 # and records why
 LOCKED_MANIFESTS = {
-    "default": ({}, "a8eb3c78f3878c870038220982d7f1e06d5012596b14c0559ece99e9bd06d25f"),
+    "default": ({}, "089a161cee909d33732a872d3d93338534bbfcdb4b15be57148681022faa1670"),
     "criterion-9": (
         {"synthesis_epsilon": 0.12, "max_length": 25, "p_points": 25},
-        "ecb4967453b2abe053de937e61cb9a17ba00143f34a340bcb5a0240f10c0be36",
+        "f5b38684f7edb3f6cb21c8b82377daf55555bffc0ea4f747e0e44b166c6dedfe",
     ),
     "qpe8-full": (
         {"counting_qubits": 8, "phase_num": 69, "phase_den": 256,
          "synthesis_epsilon": 0.1, "injection_mode": "full-depolarizing"},
-        "56690ee68ac2492ce359b426b3e1215f77be217dcb892f6855995d47c1dc13bf",
+        "2bddccf1ef992925a50acab91b6a4d3682352bdcd88be3a5647db03d2fa0c119",
     ),
     "qpe5-mirrored": (
         {"counting_qubits": 5, "phase_num": 9, "phase_den": 32,
          "synthesis_epsilon": 0.03, "injection_mode": "mirrored"},
-        "812b4908f8d1f26a25302e549c13303127432adeaf2c72727f350cd2c6c7a816",
+        "a1f26366ffadc6f680ecfdced6764cc2e79eecb84d0ff14e2cd3a5ea583ba3fc",
     ),
     "qpe11-mirrored": (
         {"counting_qubits": 11, "phase_num": 3, "phase_den": 2048,
          "synthesis_epsilon": 0.1, "injection_mode": "mirrored"},
-        "bd79b32a7d3e755270f267060de914fc1a238124a6968833e0f29842c16a5ff1",
+        "8e4c8cde990c5c22a1fe10d7350d0cda218b4b340bf5f5d5dc4ee4d6a24c153a",
     ),
 }
 
@@ -223,6 +223,31 @@ def test_pipeline_manifest_is_locked(tmp_path, config, digest):
     run_pipeline(config_from_json(config), str(tmp_path))
     manifest = (tmp_path / "manifest.json").read_bytes()
     assert hashlib.sha256(manifest).hexdigest() == digest
+
+
+def test_locked_manifest_does_not_depend_on_the_blas_kernel(tmp_path, monkeypatch):
+    """The qpe8-full manifest is the locked one both under the OpenBLAS
+    kernel the host picks and under Prescott (SSE3, which every x86-64
+    runs): the campaign makes no BLAS product, whose rounding would depend
+    on the kernel. OpenBLAS reads OPENBLAS_CORETYPE when numpy loads, so
+    each kernel gets a child process of its own."""
+    config, digest = LOCKED_MANIFESTS["qpe8-full"]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    for coretype in (None, "Prescott"):
+        if coretype is None:
+            monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_CORETYPE", coretype)
+        out = tmp_path / (coretype or "host")
+        result = subprocess.run(
+            [sys.executable, "-m", "vdqec.cli", "pipeline",
+             "--config", str(cfg), "--out-dir", str(out)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        manifest = (out / "manifest.json").read_bytes()
+        assert hashlib.sha256(manifest).hexdigest() == digest, coretype
 
 
 def test_pipeline_rejects_unknown_config_keys(tmp_path, capsys):

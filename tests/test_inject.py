@@ -174,16 +174,7 @@ def test_block_replay_matches_reference_and_ignores_block_size(monkeypatch, n, m
     # chunks, and one chunk for every site
     for amps in (1, 2**20):
         monkeypatch.setattr(inject_module, "_BLOCK_AMPS", amps)
-        other = run_campaign(circuit, correct, mode)
-        if n >= 4:
-            assert other == profile
-        else:
-            # below four qubits a gate leaves fewer than four amplitudes per
-            # state outside its target axes, and the BLAS product of a wider
-            # block rounds differently from that of a single state
-            assert [r.site for r in other.records] == [r.site for r in profile.records]
-            for a, b in zip(other.records, profile.records):
-                assert a.relative_pst == pytest.approx(b.relative_pst, abs=1e-12)
+        assert run_campaign(circuit, correct, mode) == profile
 
 
 def sweep_inputs(circuit, correct):
@@ -205,9 +196,9 @@ SWEEPS = ["_adjoint_psts", "_replay_psts"]
 @pytest.mark.parametrize("mode", ["mirrored", "full-depolarizing"])
 @pytest.mark.parametrize("n, measured", BLOCK_CASES, ids=[f"n{n}" for n, _ in BLOCK_CASES])
 def test_each_sweep_matches_reference(monkeypatch, n, measured, mode, sweep):
-    # the replay runs in chunks of 64 columns at n = 12, so the 54 or 162
+    # the replay runs in chunks of 64 rows at n = 12, so the 54 or 162
     # sites of the (12, 1) case fill one or three wide chunks rather than
-    # 27 or 81 chunks of the default 2 columns; the adjoint sweep walks its
+    # 27 or 81 chunks of the default 2 rows; the adjoint sweep walks its
     # 2,048 rows as one block whatever _BLOCK_AMPS is
     monkeypatch.setattr(inject_module, "_BLOCK_AMPS", 2**18)
     circuit, correct = random_circuit(n, 18, 100 + n, measured)
@@ -223,22 +214,21 @@ def test_each_sweep_matches_reference(monkeypatch, n, measured, mode, sweep):
 
 @pytest.mark.parametrize("mode", ["mirrored", "full-depolarizing"])
 def test_adjoint_sweep_walks_all_rows_as_one_block(monkeypatch, mode):
-    """128 correct-readout rows, 16 replay columns per chunk at n = 9: the
-    adjoint sweep builds each Pauli image once, and its records do not
-    depend on _BLOCK_AMPS."""
+    """128 correct-readout rows, 16 replay rows per chunk at n = 9: the
+    adjoint sweep builds no Pauli image, takes one reduced overlap per gate
+    with sites, and its records do not depend on _BLOCK_AMPS."""
     circuit, correct = random_circuit(9, 18, 109, 2)
     sites = enumerate_sites(circuit, mode)
     prefixes, rows = sweep_inputs(circuit, correct)
     assert len(rows) == 128 > inject_module._BLOCK_AMPS >> 9
-    image, images = inject_module._image, []
-
-    def counted(*args):
-        images.append(args)
-        return image(*args)
-
-    monkeypatch.setattr(inject_module, "_image", counted)
+    images = applied_ops(monkeypatch, "_image", lambda *_: True)
+    overlaps = applied_ops(monkeypatch, "_reduced_overlap", lambda *_: True)
     expected = inject_module._adjoint_psts(circuit, prefixes, sites, rows)
-    assert len(images) == len(sites)
+    assert images == []
+    gates = sorted({site.gate_index for site in sites}, reverse=True)
+    assert len(overlaps) == len(gates)
+    for (_, psi, qubits), g in zip(overlaps, gates):
+        assert psi is prefixes[g] and qubits == circuit.ops[g].qubits
     for amps in (1, 2**20):
         monkeypatch.setattr(inject_module, "_BLOCK_AMPS", amps)
         assert inject_module._adjoint_psts(circuit, prefixes, sites, rows) == expected
@@ -246,11 +236,12 @@ def test_adjoint_sweep_walks_all_rows_as_one_block(monkeypatch, mode):
 
 @pytest.mark.parametrize("mode", ["mirrored", "full-depolarizing"])
 def test_adjoint_sweep_holds_three_blocks(mode):
-    """The adjoint sweep's traced peak stays under 3.5 times its (2^n, R)
-    block: the block, the gate kernel's transposed copy of it and the
-    kernel's result, with no conjugated copy per gate. Measured 3.00
-    blocks at n = 10, R = 512 (an 8 MiB block); a conjugated copy per
-    gate made it 4.00."""
+    """The adjoint sweep's traced peak stays under 3.5 times its (R, 2^n)
+    block: the block, the gate kernel's result and, for a dense gate such
+    as H, the half-block product of a row's second term, with no copy of
+    the block per gate and no Pauli image. Measured 2.54 blocks at
+    n = 10, R = 512 (an 8 MiB block); a kernel that transposed the block
+    into a copy made it 3.00, and a conjugated copy per gate 4.00."""
     circuit, correct = random_circuit(10, 18, 110, 1)
     sites = enumerate_sites(circuit, mode)
     prefixes, rows = sweep_inputs(circuit, correct)
@@ -285,21 +276,21 @@ GATE_WALK_CASES = {"random": lambda: random_circuit(7, 18, 107, 5), "qpe-compile
 @pytest.mark.parametrize("mode", ["mirrored", "full-depolarizing"])
 @pytest.mark.parametrize("case", list(GATE_WALK_CASES))
 def test_each_sweep_applies_each_gate_between_sites_once(monkeypatch, case, mode):
-    """Apart from the Pauli images, the adjoint sweep walks its block back
-    through the G - 1 - f gates after the first site's gate f, last gate
-    first, and the replay walks each chunk through the G - 1 - f gates
-    after its first site's gate f, in circuit order."""
+    """The adjoint sweep walks its block back through the G - 1 - f gates
+    after the first site's gate f, last gate first, and the replay walks
+    each chunk through the G - 1 - f gates after its first site's gate f,
+    in circuit order."""
     circuit, correct = GATE_WALK_CASES[case]()
     ops, sites = circuit.ops, enumerate_sites(circuit, mode)
     prefixes, rows = sweep_inputs(circuit, correct)
-    # the adjoint's block is 2-D; the images it scores are 1-D states
+    # the adjoint's block is 2-D; a 1-D call would be a single state
     walked = applied_ops(monkeypatch, "_apply", lambda amps, *_: amps.ndim == 2)
     inject_module._adjoint_psts(circuit, prefixes, sites, rows)
     first = sites[0].gate_index
     assert len(walked) == len(ops) - 1 - first
     assert [qubits for _, _, qubits, _ in walked] == [op.qubits for op in ops[:first:-1]]
 
-    # chunks of 16 columns, which split a gate's 15 full-depolarizing sites
+    # chunks of 16 rows, which split a gate's 15 full-depolarizing sites
     monkeypatch.setattr(inject_module, "_BLOCK_AMPS", 16 << circuit.num_qubits)
     starts = [site.gate_index for site in sites[::16]]
     replayed = applied_ops(monkeypatch, "_apply_op", lambda *_: True)
@@ -314,7 +305,7 @@ def refuse(name):
     return sweep
 
 
-# column-gate products, mirrored: the adjoint sweep on the default QPE
+# row-gate products, mirrored: the adjoint sweep on the default QPE
 # circuit walks 2 rows through 26 gates for 45 sites (142) where the
 # replay takes 315; on the (12, 1) case of BLOCK_CASES it walks 2,048 rows
 # through 18 gates for 54 sites (147,456) where the replay takes 459

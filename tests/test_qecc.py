@@ -291,6 +291,18 @@ def test_assignment_json_roundtrip():
     assert assignment_from_json(doc) == a
 
 
+@pytest.mark.parametrize("p_min, p_max", [(1e-5, 1e-2), (3e-5, 7e-3)])
+@pytest.mark.parametrize("points", [2, 50, 1000])
+def test_log_p_grid_ends_exactly_at_its_bounds(p_min, p_max, points):
+    """10**log10(p) is not p for every p: np.logspace puts the first point
+    of (1e-5, 1e-2) one ulp below 1e-5, and misses both ends of
+    (3e-5, 7e-3)."""
+    grid = log_p_grid(p_min, p_max, points)
+    assert len(grid) == points
+    assert grid[0] == p_min and grid[-1] == p_max
+    assert np.all(np.diff(grid) > 0)
+
+
 def test_params_validation():
     with pytest.raises(ValidationError):
         ErrorModelParams(prefactor=0.0)

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 
 import numpy as np
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_circuit_unitary
+from vdqec import inject, sim
 from vdqec.errors import InvalidCircuitError, ValidationError
 from vdqec.sim import (
     Circuit,
@@ -211,3 +214,18 @@ def test_digest_changes_with_circuit():
     c1 = Circuit(1, (GateOp("H", (0,)),), (0,))
     c2 = Circuit(1, (GateOp("X", (0,)),), (0,))
     assert circuit_digest(c1) != circuit_digest(c2)
+
+
+def test_kernel_and_campaign_make_no_blas_product():
+    """The gate kernel and both campaign sweeps sum elementwise products in
+    a fixed order. A BLAS product (matmul, dot, tensordot, or an einsum
+    that optimize hands to tensordot) rounds as the host's BLAS kernel
+    does, which would make the artifact bytes depend on the host."""
+    banned = {"dot", "vdot", "tensordot", "matmul", "inner", "linalg"}
+    for module in (sim, inject):
+        tree = ast.parse(inspect.getsource(module))
+        for node in ast.walk(tree):
+            assert not isinstance(getattr(node, "op", None), ast.MatMult), module.__name__
+            name = getattr(node, "attr", None) or getattr(node, "id", None)
+            assert name not in banned, (module.__name__, name)
+            assert getattr(node, "arg", None) != "optimize", module.__name__

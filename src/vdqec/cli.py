@@ -288,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="run every stage into a directory")
     p.add_argument("--config", default=None, help="RunConfig JSON file")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted and ignored: the campaign runs in one thread")
     p.set_defaults(func=cmd_pipeline)
 
     return parser

@@ -33,13 +33,17 @@ replay's, as for the QPE benchmarks (R = 2), and the block replay
 otherwise, as when few qubits are measured. The adjoint sweep holds all
 R rows in one block, at most 2^(n-1) rows since a qubit is measured;
 the replay holds at most _BLOCK_AMPS amplitudes in a chunk of rows.
-Both apply gates with sim's elementwise kernel and sum in a fixed order,
-with no BLAS product, so the records do not depend on the host's BLAS
-kernel, and a replayed row comes out bitwise equal to a replay of its
-site alone, whatever the chunk size. One readout, bitwise equal to
-pst(output_distribution(...)), scores the noiseless run and every
-replayed site. The cached states hold G * 2^n amplitudes for G gates,
-which MAX_CACHED_AMPS bounds.
+sim owns the amplitude arithmetic of both sweeps: the gate kernel, which
+also applies a replayed site's Pauli product, the reduced overlap and
+the readout. All of it sums in a fixed order, with no BLAS product, so
+the records do not depend on the host's BLAS kernel, and a replayed row
+comes out bitwise equal to a replay of its site alone, whatever the
+chunk size. sim's readout, the one output_distribution uses, scores the
+noiseless run and every replayed site, and its MIN_PROB cut-off applies
+to the adjoint sweep's masses too. This module enumerates the sites,
+chooses the sweep and builds the records and the profile. The cached
+states hold G * 2^n amplitudes for G gates, which MAX_CACHED_AMPS
+bounds.
 The campaign aggregates records into spatio-temporal cells keyed by
 (qubit, timestep): the mean relative PST over every error type at the
 gates touching that cell. Cells of non-faultable gates report 1.0 with
@@ -61,12 +65,13 @@ from .sim import (
     GATE_SIGNATURES,
     MAX_QUBITS,
     MAX_TIMESTEP,
-    MIN_PROB,
     Circuit,
     _apply,
     _apply_op,
-    _outcome_keys,
-    _slices,
+    _cut_off,
+    _masses,
+    _outcome_rows,
+    _reduced_overlap,
     check_bitstring,
     circuit_digest,
     gate_matrix,
@@ -187,23 +192,15 @@ def _sites(gates, mode: str) -> list[FaultSite]:
             for ps in paulis(len(op.qubits))]
 
 
-def _image(amps, n, op, paulis):
-    """The Pauli image of amps, the cached state after `op`: paulis[i]
-    acts on op.qubits[i]."""
-    for p, q in zip(paulis, op.qubits):
-        if p != "I":
-            amps = _apply(amps, n, (q,), gate_matrix(p))
-    return amps
-
-
 def _replay_psts(circuit: Circuit, prefixes, sites, rows) -> list[float]:
     """PST of each site by block replay. The sites, in campaign order, are
     cut into chunks of at most max(1, _BLOCK_AMPS >> n), one (B, 2^n)
     block each, one state per row. For each of a chunk's sites in turn,
     the block takes the gates after the previous site's gate up to the
-    site's own, then the site's image in its own row; after the last site
-    it takes the tail, the gates left, once. rows lists the basis states
-    that read the correct bitstring, in ascending order."""
+    site's own, then, in the site's own row, the cached state after that
+    gate times the site's Pauli product; after the last site it takes the
+    tail, the gates left, once. rows lists the basis states that read the
+    correct bitstring, in ascending order."""
     n, ops = circuit.num_qubits, circuit.ops
     width = max(1, _BLOCK_AMPS >> n)
     psts = []
@@ -215,10 +212,11 @@ def _replay_psts(circuit: Circuit, prefixes, sites, rows) -> list[float]:
             for op in ops[g + 1:site.gate_index + 1]:
                 block = _apply_op(block, n, op)
             g = site.gate_index
-            block[k] = _image(prefixes[g], n, ops[g], site.paulis)
+            block[k] = _apply(prefixes[g], n, ops[g].qubits,
+                              _pauli_stack((site.paulis,))[0])
         for op in ops[g + 1:]:
             block = _apply_op(block, n, op)
-        psts += _readout(block, rows)
+        psts += _masses(block, rows)
     return psts
 
 
@@ -235,17 +233,6 @@ def _pauli_stack(labels) -> np.ndarray:
             mat = np.kron(mat, np.eye(2) if p == "I" else gate_matrix(p))
         mats.append(mat)
     return np.array(mats)
-
-
-def _reduced_overlap(bra, psi, qubits) -> np.ndarray:
-    """red[a, b, r] = sum over the other qubits' bits of bra[r, ..a..] *
-    psi[..b..], with a and b the values of the target qubits in matrix-index
-    order: one fixed-order einsum on strided views per (a, b), no copy.
-    bra is an (R, 2^n) block and psi one state."""
-    bras, kets = _slices(bra, qubits), _slices(psi, qubits)
-    axes = "ijk"[:kets[0].ndim]
-    spec = f"r{axes},{axes}->r"
-    return np.array([[np.einsum(spec, x, y) for y in kets] for x in bras])
 
 
 def _adjoint_psts(circuit: Circuit, prefixes, sites, rows) -> list[float]:
@@ -275,20 +262,7 @@ def _adjoint_psts(circuit: Circuit, prefixes, sites, rows) -> list[float]:
         red = _reduced_overlap(bra, prefixes[g], ops[g].qubits)
         amps = np.einsum("sab,abr->sr", _pauli_stack(labels), red)
         mass.append(np.sum(amps.real ** 2 + amps.imag ** 2, axis=1))
-    return _above_min_prob(np.concatenate(mass[::-1])) if mass else []
-
-
-def _readout(block, rows) -> list[float]:
-    """PST of each row of a (B, 2^n) block, as pst(output_distribution)
-    gives it: cumsum adds the amplitudes in ascending order, as np.add.at
-    does, while np.sum and a single-row np.add.reduce add pairwise."""
-    return _above_min_prob(np.cumsum(np.abs(block[:, rows]) ** 2, axis=1)[:, -1])
-
-
-def _above_min_prob(mass) -> list[float]:
-    """Each mass as a float, with those at most MIN_PROB set to 0.0, as
-    output_distribution leaves them out."""
-    return [float(m) if m > MIN_PROB else 0.0 for m in mass]
+    return _cut_off(np.concatenate(mass[::-1])) if mass else []
 
 
 def _gate_stats(records) -> dict[int, tuple[float, float, int]]:
@@ -321,15 +295,13 @@ def run_campaign(
                               f"campaign's limit of {MAX_CACHED_AMPS} cached amplitudes")
     _check_distinct_cells(circuit.ops)
     check_bitstring(correct_bitstring, len(circuit.measured_qubits))
-    rows = np.flatnonzero(
-        _outcome_keys(n, circuit.measured_qubits) == int(correct_bitstring, 2)
-    )
+    rows = _outcome_rows(n, circuit.measured_qubits)[int(correct_bitstring, 2)]
     prefixes = []
     amps = zero_state(n).amplitudes
     for op in circuit.ops:
         amps = _apply_op(amps, n, op)
         prefixes.append(amps)
-    (pst_ideal,) = _readout(amps[None], rows)
+    pst_ideal = _masses(amps, rows)
     if pst_ideal <= 0.0:
         raise CampaignError(
             "noiseless PST is zero; relative sensitivity is undefined"

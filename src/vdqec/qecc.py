@@ -143,15 +143,14 @@ def assign_two_distance(
     mean relative PST drops below tau; qubits that never drop stay low."""
     check_tau(tau)
     distance_config((d_low, d_high))
-    cells = profile.cells
+    first: dict[int, int] = {}  # qubit -> earliest timestep below tau
+    for g in profile.gates:
+        if g.mean_relative_pst < tau:
+            for q in g.qubits:
+                first[q] = min(first.get(q, g.timestep), g.timestep)
     schedules = []
     for q in range(profile.num_qubits):
-        times = sorted(t for (qq, t) in cells if qq == q)
-        escalate_at = None
-        for t in times:
-            if cells[(q, t)].mean_relative_pst < tau:
-                escalate_at = t
-                break
+        escalate_at = first.get(q)
         if escalate_at is None or d_high == d_low:
             schedules.append(((0, d_low),))
         elif escalate_at == 0:

@@ -11,7 +11,12 @@ Conventions:
   * one kernel, _apply, applies every gate, to a state or to a block of
     states one per row, by elementwise sums over strided views in a fixed
     order: no BLAS product rounds an amplitude, so the results do not
-    depend on the host's BLAS kernel or on the block a state rides in.
+    depend on the host's BLAS kernel or on the block a state rides in;
+  * one readout rule, _masses, scores output_distribution and the fault
+    campaign alike: it adds |amp|^2 over the basis states of an outcome
+    in ascending index order, and an outcome of mass at most MIN_PROB
+    reads 0.0 (_cut_off). _reduced_overlap, the campaign's bra-ket sum
+    over the qubits a gate does not touch, uses the kernel's views.
 """
 
 from __future__ import annotations
@@ -239,6 +244,17 @@ def _apply(amps: np.ndarray, n: int, qubits: tuple[int, ...], mat: np.ndarray) -
     return out
 
 
+def _reduced_overlap(bra: np.ndarray, psi: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+    """red[a, b, r] = sum over the other qubits' bits of bra[r, ..a..] *
+    psi[..b..], with a and b the values of the target qubits in matrix-index
+    order: one fixed-order einsum on strided views per (a, b), no copy.
+    bra is an (R, 2^n) block and psi one state."""
+    bras, kets = _slices(bra, qubits), _slices(psi, qubits)
+    axes = "ijk"[:kets[0].ndim]
+    spec = f"r{axes},{axes}->r"
+    return np.array([[np.einsum(spec, x, y) for y in kets] for x in bras])
+
+
 def _apply_op(amps: np.ndarray, n: int, op: GateOp) -> np.ndarray:
     return _apply(amps, n, op.qubits, gate_matrix(op.kind, op.params))
 
@@ -264,13 +280,31 @@ def simulate(circuit: Circuit, initial: StateVector | None = None) -> StateVecto
     return StateVector(n, amps)
 
 
-def _outcome_keys(n: int, measured_qubits: tuple[int, ...]) -> np.ndarray:
-    """Outcome index of each basis state: its measured bits, MSB first."""
+def _outcome_rows(n: int, measured_qubits: tuple[int, ...]) -> np.ndarray:
+    """A (2^m, 2^(n-m)) array for m measured qubits: row k lists, in
+    ascending order, the basis states whose measured bits (MSB first)
+    read k."""
     idx = np.arange(2**n)
     keys = np.zeros(2**n, dtype=np.int64)
     for q in measured_qubits:
         keys = (keys << 1) | ((idx >> q) & 1)
-    return keys
+    return np.argsort(keys, kind="stable").reshape(2 ** len(measured_qubits), -1)
+
+
+def _cut_off(mass: np.ndarray):
+    """mass as floats (a list, or a float for a scalar), with each mass
+    at most MIN_PROB set to 0.0: the outcomes output_distribution leaves
+    out."""
+    return np.where(mass > MIN_PROB, mass, 0.0).tolist()
+
+
+def _masses(amps: np.ndarray, rows: np.ndarray):
+    """The mass that amps puts on the basis states `rows`, through
+    _cut_off: for one state (2^n,), a float for rows (R,) and one mass
+    per row for rows (K, R); for a block (B, 2^n), one state per row, and
+    rows (R,), one mass per state. cumsum adds |amp|^2 in ascending index
+    order, where np.sum would add pairwise."""
+    return _cut_off(np.cumsum(np.abs(amps[..., rows]) ** 2, axis=-1)[..., -1])
 
 
 def output_distribution(
@@ -285,15 +319,8 @@ def output_distribution(
     mq = tuple(int(q) for q in measured_qubits)
     if not mq or len(set(mq)) != len(mq) or any(not (0 <= q < n) for q in mq):
         raise ValidationError(f"bad measured_qubits {measured_qubits}")
-    probs = np.abs(state.amplitudes) ** 2
-    acc = np.zeros(2 ** len(mq))
-    np.add.at(acc, _outcome_keys(n, mq), probs)
-    width = len(mq)
-    return {
-        format(k, f"0{width}b"): float(acc[k])
-        for k in range(acc.size)
-        if acc[k] > MIN_PROB
-    }
+    masses = _masses(state.amplitudes, _outcome_rows(n, mq))
+    return {format(k, f"0{len(mq)}b"): m for k, m in enumerate(masses) if m}
 
 
 def check_bitstring(bits, width: int) -> None:

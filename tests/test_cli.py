@@ -538,7 +538,7 @@ HELP_FLAGS = {
     "assign": "--circuit --d-high --d-low --output --profile --tau -o",
     "tts": "--circuit --configs --no-resize --out-csv --out-svg --p-max --p-min "
            "--p-points --prefactor --profile --tau --threshold",
-    "pipeline": "--config --out-dir --threads",
+    "pipeline": "--config --out-dir",
 }
 
 

@@ -20,7 +20,7 @@ from vdqec.sim import (
     Circuit,
     GateOp,
     _apply_op,
-    _outcome_keys,
+    _outcome_rows,
     circuit_to_json,
     output_distribution,
     pst,
@@ -185,8 +185,7 @@ def sweep_inputs(circuit, correct):
     for op in circuit.ops:
         amps = _apply_op(amps, n, op)
         prefixes.append(amps)
-    rows = np.flatnonzero(_outcome_keys(n, circuit.measured_qubits) == int(correct, 2))
-    return prefixes, rows
+    return prefixes, _outcome_rows(n, circuit.measured_qubits)[int(correct, 2)]
 
 
 SWEEPS = ["_adjoint_psts", "_replay_psts"]
@@ -215,13 +214,14 @@ def test_each_sweep_matches_reference(monkeypatch, n, measured, mode, sweep):
 @pytest.mark.parametrize("mode", ["mirrored", "full-depolarizing"])
 def test_adjoint_sweep_walks_all_rows_as_one_block(monkeypatch, mode):
     """128 correct-readout rows, 16 replay rows per chunk at n = 9: the
-    adjoint sweep builds no Pauli image, takes one reduced overlap per gate
-    with sites, and its records do not depend on _BLOCK_AMPS."""
+    adjoint sweep builds no Pauli image (it applies no gate to a single
+    state), takes one reduced overlap per gate with sites, and its records
+    do not depend on _BLOCK_AMPS."""
     circuit, correct = random_circuit(9, 18, 109, 2)
     sites = enumerate_sites(circuit, mode)
     prefixes, rows = sweep_inputs(circuit, correct)
     assert len(rows) == 128 > inject_module._BLOCK_AMPS >> 9
-    images = applied_ops(monkeypatch, "_image", lambda *_: True)
+    images = applied_ops(monkeypatch, "_apply", lambda amps, *_: amps.ndim == 1)
     overlaps = applied_ops(monkeypatch, "_reduced_overlap", lambda *_: True)
     expected = inject_module._adjoint_psts(circuit, prefixes, sites, rows)
     assert images == []

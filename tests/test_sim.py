@@ -151,6 +151,33 @@ def test_output_distribution_sums_to_one(rng):
     assert sum(d.values()) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("n, measured", [
+    (1, (0,)), (4, (2, 0, 3)), (4, (3, 1)), (7, (5, 2, 6)),
+    (5, (4, 3, 2, 1, 0)), (9, tuple(range(8, -1, -1))), (10, (6, 3)),
+])
+def test_output_distribution_is_bitwise_a_plain_loop(rng, n, measured):
+    """Each outcome's probability is the sum of the probabilities of the
+    basis states that read it, added one at a time in index order, and an
+    outcome of probability at most 1e-15 is left out. A plain loop that
+    shares no code with the readout must give the same floats, bit for
+    bit. Each basis state's probability is numpy's |amp|**2, because
+    numpy's complex abs rounds unlike Python's and libm's hypot in the
+    last bit. Some amplitudes are 0 or about 1e-9, so that with every
+    qubit measured some outcomes fall under the cut-off."""
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    amps[rng.random(2**n) < 0.2] = 0.0
+    amps[rng.random(2**n) < 0.2] *= 1e-9
+    state = StateVector(n, amps / np.linalg.norm(amps))
+    acc = {}
+    for i, prob in enumerate((np.abs(state.amplitudes) ** 2).tolist()):
+        key = "".join(str(i >> q & 1) for q in measured)
+        acc[key] = acc.get(key, 0.0) + prob
+    expected = {key: p for key, p in acc.items() if p > 1e-15}
+    if len(measured) == n > 1:
+        assert len(expected) < len(acc)
+    assert output_distribution(state, measured) == expected
+
+
 def test_pst_reads_distribution():
     assert pst({"00": 1.0}, "00") == 1.0
     assert pst({"00": 0.25, "11": 0.75}, "11") == 0.75

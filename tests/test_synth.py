@@ -1,3 +1,4 @@
+import functools
 import sys
 
 import numpy as np
@@ -40,29 +41,50 @@ ORACLE_FORBIDDEN = {
 
 
 def oracle_dist(u, theta):
+    """Distance of one unitary (2, 2), or of each of a stack (N, 2, 2)."""
     r = np.diag([1, np.exp(1j * theta)])
-    return np.sqrt(max(0.0, 1 - abs(np.trace(u.conj().T @ r)) / 2))
+    tr = np.trace(u.conj().swapaxes(-1, -2) @ r, axis1=-2, axis2=-1)
+    return np.sqrt(np.maximum(0.0, 1 - abs(tr) / 2))
+
+
+@functools.cache
+def oracle_words(max_length):
+    """Every normal-form word of each length up to max_length, in
+    lexicographic order of ORACLE_ORDER: per length, the words and their
+    unitaries stacked as (N, 2, 2). A word of length L + 1 is a word of
+    length L followed by a letter its last letter allows, so listing the
+    (word, letter) pairs word-major keeps lexicographic order."""
+    mats = np.array([ORACLE_MATS[c] for c in ORACLE_ORDER])
+    # follows[a, c]: letter c may follow letter a; row -1 is the empty word
+    follows = np.array([[(a, c) not in ORACLE_FORBIDDEN for c in ORACLE_ORDER]
+                        for a in ORACLE_ORDER + " "])
+    words, units, last = [""], np.eye(2, dtype=complex)[None], np.array([-1])
+    levels = [(words, units)]
+    for _ in range(max_length):
+        parent, letter = np.nonzero(follows[last])
+        words = [words[p] + ORACLE_ORDER[c] for p, c in zip(parent, letter)]
+        units, last = mats[letter] @ units[parent], letter
+        levels.append((words, units))
+    return levels
 
 
 def oracle_search(theta, epsilon, max_length):
     """Plain enumeration of every normal-form word, no pruning, in
-    length-then-lex order. Returns (sequence, distance, converged)."""
+    length-then-lex order: the first word within epsilon, else the best
+    word, where a word replaces the best so far only when it is closer by
+    more than 1e-12. Returns (sequence, distance, converged)."""
     theta = theta % (2 * np.pi)
     best = (2.0, "")
-    words = [("", np.eye(2, dtype=complex))]
-    for length in range(max_length + 1):
-        for word, u in words:
-            d = oracle_dist(u, theta)
-            if d <= epsilon:
-                return word, d, True
-            if d < best[0] - 1e-12:
-                best = (d, word)
-        words = [
-            (w + c, ORACLE_MATS[c] @ u)
-            for w, u in words
-            for c in ORACLE_ORDER
-            if not w or (w[-1], c) not in ORACLE_FORBIDDEN
-        ]
+    for words, units in oracle_words(max_length):
+        d = oracle_dist(units, theta)
+        hit = np.flatnonzero(d <= epsilon)
+        if hit.size:
+            return words[hit[0]], d[hit[0]], True
+        i = 0
+        while (below := np.flatnonzero(d[i:] < best[0] - 1e-12)).size:
+            i += below[0]
+            best = (d[i], words[i])
+            i += 1
     return best[1], best[0], False
 
 

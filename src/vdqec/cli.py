@@ -73,6 +73,8 @@ def _read_json(path: str) -> dict:
             doc = json.load(fh)
     except ValueError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ValidationError(f"{path} nests JSON too deeply to read") from None
     if not isinstance(doc, dict):
         raise ValidationError(f"{path} must hold a JSON object")
     return doc
@@ -103,6 +105,15 @@ def _read_profile(path: str, circuit_path: str | None):
                 f"{circuit_path}; refusing stale cache"
             )
     return profile
+
+
+def _check_output_dirs(args) -> None:
+    """Refuse an output file whose directory is missing before any stage
+    runs, so that no work is lost and no other output is left behind."""
+    for name in ("output", "out_csv", "out_svg"):
+        folder = os.path.dirname(getattr(args, name, None) or "")
+        if folder and not os.path.isdir(folder):
+            raise ValidationError(f"output directory does not exist: {folder}")
 
 
 def _emit(data: bytes, out: str | None) -> None:
@@ -297,6 +308,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_output_dirs(args)
         return args.func(args)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,12 +7,18 @@ T.Tdg, Tdg.T cancel, TT and Tdg.Tdg reduce to S and Sdg, and Sdg.Sdg is
 respelled as SS (the canonical in-alphabet spelling of Z, which is why
 SS itself stays legal).
 
-approximate_rz returns the shortest normal-form sequence within epsilon
-of the target, ties broken lexicographically on the symbol order
+approximate_rz returns the shortest sequence within epsilon of the
+target, ties broken lexicographically on the symbol order
 X < H < S < Sdg < T < Tdg. A table holds, per length, the least witness
 of each rotation that length reaches first (levels are deduplicated by
 the unit quaternion q below, rounded to a 1e-7 grid and signed so that
-its first nonzero coordinate is positive). For each length
+its first nonzero coordinate is positive). Keeping least witnesses is
+the only word rule; normal form follows from it. Every forbidden pair
+has another spelling of the same rotation that is shorter (the pairs
+that cancel, and TT = S, Tdg.Tdg = Sdg) or as long and lexicographically
+smaller (Sdg.Sdg = SS), so no least witness holds one. Each level
+extends every entry of the last by all six symbols and keeps the least
+witnesses of the rotations no level holds yet. For each length
 L = 0, 1, ... the search joins table level ceil(L/2) as prefix with
 level L - ceil(L/2) as suffix (meet in the middle, Amy, Maslov, Mosca and
 Roetteler, arXiv:1206.0758) and stops at the first length with a hit.
@@ -21,7 +27,8 @@ of the least minimal word are least witnesses of rotations first reached
 at their own lengths, or a swap would give a shorter or a smaller word.
 So the table only grows to level ceil(max_length/2) <= 17, small enough
 (3,968 entries there) that each level keeps its words as int8 rows of
-symbol indices, not as parent pointers.
+symbol indices, not as parent pointers. The least minimal word is in
+normal form, so the join scores every junction.
 
 The join scores only the pairs that can pass. Up to sign, a unitary u has
 the unit quaternion q = (Re a, Im a, Re b, Im b) of u / sqrt(det u) =
@@ -33,13 +40,15 @@ coordinate, built as the level grows. A join sorts the +-q_S
 of its suffixes, and each block of 128 of them scores one real product
 against the prefixes inside that window, widened by a rounding slack
 (derived at _SLACK). The few pairs above 1 - epsilon^2 - slack get the
-exact test, the complex overlap and the junction mask, and the least
-(prefix rank, suffix rank) hit is the first hit in lexicographic order.
-A miss returns no pairs. Only a search that never converges reruns its
-joins, each asking for every pair within the best distance found at a
-shorter length (2 at the start): only such a pair can replace the best,
-and every witness of the least-distance rotation lies inside that one
-window too.
+exact test on the complex overlap, and the least (prefix rank, suffix
+rank) hit is the first hit in lexicographic order. A miss returns no
+pairs. Only a search that never converges reruns its joins, each asking
+for every pair within the best distance found at a shorter length (2 at
+the start): only such a pair can replace the best, and every witness of
+the least-distance rotation lies inside that one window too. A pair with
+a forbidden junction spells a rotation that a shorter word or a smaller
+pair spells too, so it was already scored, and a pair must beat the best
+by 1e-12 to replace it.
 
 The join rounds its overlaps differently from a scan of level L, so a
 distance within about 1e-16 of epsilon could in principle fall on the
@@ -63,7 +72,8 @@ KIND_OF_SYMBOL = {"X": "X", "H": "H", "S": "S", "s": "Sdg", "T": "T", "t": "Tdg"
 
 _MATS = np.stack([gate_matrix(KIND_OF_SYMBOL[c]) for c in SYMBOLS])
 
-# adjacent pairs excluded from normal form (see module docstring)
+# adjacent pairs excluded from normal form; only is_normal_form reads them,
+# since the search keeps least witnesses (see module docstring)
 FORBIDDEN_PAIRS = frozenset(
     [
         ("X", "X"),
@@ -118,9 +128,10 @@ def sequence_unitary(sequence: str) -> np.ndarray:
 
 
 class _SearchTable:
-    """Levels of normal-form words, grown on demand and shared between
-    calls (the table only depends on the gate set). Level L holds the
-    least witness of each rotation that length L reaches first."""
+    """Levels of words, grown on demand and shared between calls (the
+    table only depends on the gate set). Level L holds the least witness
+    of each rotation that length L reaches first, which is in normal form
+    (see the module docstring)."""
 
     def __init__(self):
         self._seen = set()
@@ -129,18 +140,14 @@ class _SearchTable:
         # per level: its quaternions signed so that the first coordinate is
         # >= 0 and sorted on it, that first coordinate, and their ranks
         self._views = []
-        self._allowed = np.ones((7, 6), dtype=bool)
-        for a, b in FORBIDDEN_PAIRS:
-            self._allowed[SYMBOLS.index(a), SYMBOLS.index(b)] = False
         self._add_level(np.eye(2, dtype=complex)[None], np.empty((1, 0), dtype=np.int8))
 
     def ensure_length(self, max_length: int) -> None:
         while len(self.levels) - 1 < max_length:
             parents, words = self.levels[-1]
-            idx = np.flatnonzero(self._allowed[_last(words)])
-            parent_idx, sym_idx = np.divmod(idx, 6)
-            self._add_level(_step(parents).reshape(-1, 2, 2)[idx],
-                            np.column_stack([words[parent_idx], sym_idx]).astype(np.int8))
+            symbols = np.tile(np.arange(6, dtype=np.int8), len(words))
+            self._add_level(_step(parents).reshape(-1, 2, 2),
+                            np.column_stack([np.repeat(words, 6, axis=0), symbols]))
 
     def _add_level(self, units: np.ndarray, words: np.ndarray) -> None:
         """Append the candidates whose rotations no level holds yet. They
@@ -162,14 +169,15 @@ class _SearchTable:
 
     def join(self, i: int, j: int, target: np.ndarray, epsilon: float,
              every: bool = False):
-        """Find the first word P.S (P in level i, S in level j, junction in
-        normal form) in lexicographic order within epsilon of target.
-        Returns (hit, prefix ranks, suffix ranks): the first hit alone, or
-        no pairs on a miss. With every it returns every such pair within
-        epsilon, in the same order."""
+        """Find the first word P.S (P in level i, S in level j) in
+        lexicographic order within epsilon of target. Every junction is
+        scored: the first hit of the first length that converges is in
+        normal form (see the module docstring). Returns (hit, prefix ranks,
+        suffix ranks): the first hit alone, or no pairs on a miss. With
+        every it returns every pair within epsilon, in the same order."""
         keys, key0, order = self._views[i]
-        prefix, prefix_words = self.levels[i]
-        suffix, suffix_words = self.levels[j]
+        prefix = self.levels[i][0]
+        suffix = self.levels[j][0]
         n = len(suffix)
         # tr(target^dag U_S U_P) = tr(V_S^dag U_P) with V_S = U_S^dag target
         v = suffix.conj().transpose(0, 2, 1) @ target
@@ -179,9 +187,6 @@ class _SearchTable:
         by_key = np.argsort(signed[:, 0], kind="stable")
         signed, s_rank = signed[by_key], by_key % n
         flat, v_conj = prefix.reshape(-1, 4), v.conj().reshape(-1, 4)
-        last = _last(prefix_words)
-        allowed = (self._allowed[:, suffix_words[:, 0]] if j
-                   else np.ones((7, 1), dtype=bool))
         cut = 1.0 - epsilon**2 - _SLACK
         half = math.sqrt(2.0 * (1.0 - cut + _SLACK))
         total = len(prefix) * n
@@ -206,9 +211,7 @@ class _SearchTable:
             cells = p * n + s
             keep = cells < best
             p, s, cells = p[keep], s[keep], cells[keep]
-            tr = _overlap(flat[p], v_conj[s])
-            tr[~allowed[last[p], s]] = -np.inf
-            hits = cells[_distance(tr) <= epsilon]
+            hits = cells[_distance(_overlap(flat[p], v_conj[s])) <= epsilon]
             if every:
                 found.append(hits)
             elif hits.size:
@@ -236,11 +239,6 @@ class _SearchTable:
     def sequence(self, i: int, p: int, j: int, s: int) -> str:
         syms = np.concatenate([self.levels[i][1][p], self.levels[j][1][s]])
         return "".join(SYMBOLS[k] for k in syms)
-
-
-def _last(words: np.ndarray) -> np.ndarray:
-    """Last symbol of each word, or -1 (any may follow) for the empty word."""
-    return words[:, -1] if words.shape[1] else np.full(len(words), -1)
 
 
 def _quaternions(u: np.ndarray) -> np.ndarray:

@@ -110,11 +110,12 @@ def exact_success_and_multi_mass(circuit, correct, assignment, p, params):
     exactly. Returns (exact success probability, total probability mass
     of patterns with two or more errors). q_g comes from the model itself,
     not from vdqec.qecc: 1 - prod over the gate's patches of
-    (1 - min(1, A * (p / p_th)^((d+1)/2)))."""
-    from vdqec.sim import StateVector, output_distribution, pst, zero_state
+    (1 - min(1, A * (p / p_th)^((d+1)/2))).
 
+    The walk is breadth-first: a (B, 2^n) block holds one state per error
+    pattern of the gates so far, with its weight and its error count, and
+    a faultable gate stacks the no-error block on its X, Y and Z blocks."""
     n = circuit.num_qubits
-    ops = circuit.ops
 
     def q_gate(op):
         ok = 1.0
@@ -125,31 +126,31 @@ def exact_success_and_multi_mass(circuit, correct, assignment, p, params):
             ok *= 1.0 - min(1.0, rate)
         return 1.0 - ok
 
-    def score(amps):
-        d = output_distribution(StateVector(n, amps), circuit.measured_qubits)
-        return pst(d, correct)
-
-    def go(i, amps, weight, n_errors):
-        if weight == 0.0:
-            return 0.0, 0.0
-        if i == len(ops):
-            return weight * score(amps), (weight if n_errors >= 2 else 0.0)
-        op = ops[i]
-        after = embed_gate(n, op.qubits, gate_matrix(op.kind, op.params)) @ amps
+    states = np.zeros((1, 2**n), dtype=complex)
+    states[0, 0] = 1.0
+    weights, errors = np.ones(1), np.zeros(1, dtype=int)
+    for op in circuit.ops:
+        states = states @ embed_gate(n, op.qubits, gate_matrix(op.kind, op.params)).T
         if not op.faultable:
-            return go(i + 1, after, weight, n_errors)
+            continue
         q_g = q_gate(op)
-        success, multi = go(i + 1, after, weight * (1.0 - q_g), n_errors)
+        blocks = [states]
         for pauli in "XYZ":
-            corrupted = after
+            corrupted = states
             for q in op.qubits:
-                corrupted = embed_gate(n, (q,), gate_matrix(pauli)) @ corrupted
-            s2, m2 = go(i + 1, corrupted, weight * q_g / 3.0, n_errors + 1)
-            success += s2
-            multi += m2
-        return success, multi
-
-    return go(0, zero_state(n).amplitudes, 1.0, 0)
+                corrupted = corrupted @ embed_gate(n, (q,), gate_matrix(pauli)).T
+            blocks.append(corrupted)
+        states = np.concatenate(blocks)
+        weights = np.concatenate([weights * (1.0 - q_g)] + [weights * q_g / 3.0] * 3)
+        errors = np.concatenate([errors] + [errors + 1] * 3)
+    # basis states whose measured bits (first bit = first measured qubit)
+    # read the correct outcome
+    index = np.arange(2**n)
+    correct_rows = np.ones(2**n, dtype=bool)
+    for bit, q in zip(correct, circuit.measured_qubits):
+        correct_rows &= ((index >> q) & 1) == int(bit)
+    success = np.sum(np.abs(states[:, correct_rows]) ** 2, axis=1)
+    return float(weights @ success), float(weights[errors >= 2].sum())
 
 
 def site_error_prob(qubits, timestep, assignment, p, params=DEFAULT_PARAMS):
@@ -236,35 +237,27 @@ def table_scan_rz(theta, epsilon, max_length):
 def _dense_join_distances(i, j, target):
     """Distances of every pair P.S of table levels i and j, as (first
     prefix rank, block of prefix rows x suffix ranks) chunks, with the
-    complex overlap |tr(V_S^dag U_P)|, V_S = U_S^dag target, and inf where
-    the junction is not in normal form. The overlap is summed term by term
-    in the order of the join's exact test, so that the two round alike."""
+    complex overlap |tr(V_S^dag U_P)|, V_S = U_S^dag target. The overlap
+    is summed term by term in the order of the join's exact test, so that
+    the two round alike."""
     from vdqec import synth
 
-    prefix, prefix_words = synth._TABLE.levels[i]
-    suffix, suffix_words = synth._TABLE.levels[j]
+    prefix = synth._TABLE.levels[i][0]
+    suffix = synth._TABLE.levels[j][0]
     v = (suffix.conj().transpose(0, 2, 1) @ target).conj().reshape(-1, 4)
     u = prefix.reshape(-1, 4)
-    # junction[a, b]: may symbol b follow symbol a
-    junction = np.array([[synth.is_normal_form(a + b) for b in synth.SYMBOLS]
-                         for a in synth.SYMBOLS])
     rows = max(1, 2**16 // len(v))
     for r0 in range(0, len(u), rows):
         a = u[r0 : r0 + rows, None, :]
         tr = np.abs(a[..., 0] * v[:, 0] + a[..., 1] * v[:, 1]
                     + a[..., 2] * v[:, 2] + a[..., 3] * v[:, 3])
-        d = np.sqrt(np.maximum(0.0, 1.0 - tr / 2.0))
-        if i and j:
-            last = prefix_words[r0 : r0 + rows, -1]
-            d[~junction[np.ix_(last, suffix_words[:, 0])]] = np.inf
-        yield r0, d
+        yield r0, np.sqrt(np.maximum(0.0, 1.0 - tr / 2.0))
 
 
 def dense_join_scan(i, j, target, epsilons):
     """Oracle for _SearchTable.join: score every pair P.S of table levels i
     and j in prefix rank order, and return per epsilon the first
-    (prefix rank, suffix rank) within epsilon whose junction is in normal
-    form, or None."""
+    (prefix rank, suffix rank) within epsilon, or None."""
     hits = {}
     for r0, d in _dense_join_distances(i, j, target):
         for eps in set(epsilons) - set(hits):
@@ -278,8 +271,8 @@ def dense_join_scan(i, j, target, epsilons):
 
 def dense_join_every(i, j, target, epsilons):
     """Oracle for _SearchTable.join with every=True: per epsilon, every
-    (prefix rank, suffix rank) pair of table levels i and j within epsilon
-    whose junction is in normal form, in rank order, as an (m, 2) array."""
+    (prefix rank, suffix rank) pair of table levels i and j within epsilon,
+    in rank order, as an (m, 2) array."""
     found = {eps: [np.empty((0, 2), dtype=int)] for eps in epsilons}
     for r0, d in _dense_join_distances(i, j, target):
         for eps in epsilons:

@@ -314,6 +314,8 @@ PROFILE_1Q = {
     "circuit_digest": "0" * 64, "num_qubits": 1, "mode": "mirrored",
     "pst_ideal": 1.0, "records": [], "gates": [],
 }
+# a document nested deeper than the JSON reader can recurse, written as is
+NESTED = '{"a":' * 100_000 + "1" + "}" * 100_000
 
 
 @pytest.mark.parametrize("doc, argv", [
@@ -388,6 +390,9 @@ PROFILE_1Q = {
     ({**PROFILE_1Q, "gates": [[0, "H", [0], 1, False, 1.0, 1.0, 0],
                               [1, "H", [0], 0, False, 1.0, 1.0, 0]]},
      ["assign", "--profile", "{in}"]),
+    (NESTED, ["pipeline", "--config", "{in}", "--out-dir", "{out}"]),
+    (NESTED, ["simulate", "--circuit", "{in}"]),
+    (NESTED, ["assign", "--profile", "{in}"]),
 ], ids=["config-list", "config-str-int", "timestep-str", "rz-nan", "shared-cell",
         "missing-dir", "theta-nan", "qubit-float", "num-qubits-float",
         "faultable-str", "timestep-inf", "profile-timestep-inf", "record-index-float",
@@ -399,11 +404,12 @@ PROFILE_1Q = {
         "bitstring-short-compile", "tts-distance-past-float", "assign-distance-2**53",
         "pipeline-distance-2**53", "tts-17-configs", "pipeline-17-configs",
         "timestep-past-float", "profile-timestep-past-float", "tts-tau-7-uniform",
-        "tts-tau-nan-uniform", "pipeline-no-configs", "profile-timestep-decreasing"])
+        "tts-tau-nan-uniform", "pipeline-no-configs", "profile-timestep-decreasing",
+        "config-nested", "circuit-nested", "profile-nested"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, doc, argv):
     paths = {"in": str(tmp_path / "in.json"), "out": str(tmp_path / "out")}
     if doc is not None:
-        (tmp_path / "in.json").write_text(json.dumps(doc))
+        (tmp_path / "in.json").write_text(doc if doc is NESTED else json.dumps(doc))
     result = subprocess.run(
         [sys.executable, "-m", "vdqec.cli", *(a.format_map(paths) for a in argv)],
         capture_output=True, text=True,
@@ -412,6 +418,32 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, doc, argv):
     assert result.stderr.startswith("error:"), result.stderr
     assert "Traceback" not in result.stderr
     assert [p.name for p in tmp_path.iterdir()] == (["in.json"] if doc is not None else [])
+
+
+@pytest.mark.parametrize("argv", [
+    ["inject", "--circuit", "c.json", "-o", "{missing}/p.json"],
+    ["compile", "--circuit", "c.json", "--epsilon", "0.1", "-o", "{missing}/c.json"],
+    ["heatmap", "--profile", "p.json", "--out-csv", "{tmp}/h.csv",
+     "--out-svg", "{missing}/h.svg"],
+    ["tts", "--profile", "p.json", "--out-csv", "{tmp}/s.csv",
+     "--out-svg", "{missing}/s.svg"],
+    ["tts", "--profile", "p.json", "--out-csv", "{missing}/s.csv"],
+], ids=["inject", "compile", "heatmap-svg", "tts-svg", "tts-csv"])
+def test_missing_output_directory_exits_2_before_any_stage(tmp_path, monkeypatch,
+                                                           capsys, argv):
+    """An output path whose directory is missing is refused before any
+    input is read or any stage runs, so no campaign is lost and no CSV is
+    left without its SVG."""
+    def never(*args, **kwargs):
+        raise AssertionError("a stage ran before the output paths were checked")
+
+    for name in ("run_campaign", "_read_circuit", "_read_profile"):
+        monkeypatch.setattr(f"vdqec.cli.{name}", never)
+    paths = {"tmp": str(tmp_path), "missing": str(tmp_path / "no" / "such")}
+    assert run(*(a.format_map(paths) for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: output directory does not exist"), err
+    assert list(tmp_path.iterdir()) == []
 
 
 # one valid document per loader; the property below mutates them

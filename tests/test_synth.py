@@ -159,6 +159,21 @@ def test_table_levels_match_plain_enumeration():
         ]
 
 
+@pytest.mark.parametrize("pair", [a + b for a in ORACLE_ORDER for b in ORACLE_ORDER])
+def test_is_normal_form_applies_every_pair_rule(pair):
+    """Each of the 9 forbidden pairs is rejected, alone and inside a longer
+    word whose other junctions are legal; the other 27 pairs are legal."""
+    a, b = pair
+    if (a, b) not in ORACLE_FORBIDDEN:
+        assert is_normal_form(pair)
+        return
+    assert not is_normal_form(pair)
+    left = next(c for c in "HX" if (c, a) not in ORACLE_FORBIDDEN)
+    right = next(c for c in "HX" if (b, c) not in ORACLE_FORBIDDEN)
+    assert is_normal_form(left + a) and is_normal_form(b + right)
+    assert not is_normal_form(left + pair + right)
+
+
 def test_s_is_quarter_rotation():
     r = approximate_rz(np.pi / 2, 1e-12, 8)
     assert r.sequence == "S" and r.converged
@@ -190,6 +205,7 @@ def test_report_length_matches_sequence():
 def test_soundness_recomputed_independently(rng):
     for theta in rng.uniform(0, 2 * np.pi, size=8):
         r = approximate_rz(theta, 0.08, 16)
+        assert is_normal_form(r.sequence)
         u = sequence_unitary(r.sequence)
         assert oracle_dist(u, theta % (2 * np.pi)) == pytest.approx(
             r.achieved_distance, abs=1e-12
@@ -234,23 +250,6 @@ def test_join_matches_table_scan(rng):
                 assert got == want, (theta, eps, max_length)
 
 
-def test_join_scans_only_normal_form_words():
-    """With every word within epsilon, the first hit of a join is the first
-    pair in rank order whose junction is in normal form."""
-    table = synth._TABLE
-    table.ensure_length(3)
-    for i, j in ((1, 1), (2, 1), (2, 2), (3, 2), (3, 3)):
-        hit, p, s = table.join(i, j, np.eye(2, dtype=complex), 1.0)
-        assert hit
-        want = next(
-            (a, b)
-            for a in range(len(table.levels[i][0]))
-            for b in range(len(table.levels[j][0]))
-            if is_normal_form(table.sequence(i, a, j, b))
-        )
-        assert (int(p[0]), int(s[0])) == want, (i, j)
-
-
 JOIN_EPSILONS = (2.0, 1.0, 0.1, 0.03, 0.015, 1e-9)
 
 
@@ -291,10 +290,7 @@ def test_join_matches_dense_scan_at_window_edges(rng):
         i = (length + 1) // 2
         j = length - i
         prefix, suffix = table.levels[i][0], table.levels[j][0]
-        while True:
-            a, b = int(rng.integers(len(prefix))), int(rng.integers(len(suffix)))
-            if is_normal_form(table.sequence(i, a, j, b)):
-                break
+        a, b = int(rng.integers(len(prefix))), int(rng.integers(len(suffix)))
         word = suffix[b] @ prefix[a]
         cases = [(rz_matrix(rng.uniform(0, 2 * np.pi)), JOIN_EPSILONS),
                  (word, JOIN_EPSILONS), (-word, JOIN_EPSILONS)]
@@ -311,20 +307,17 @@ def test_join_matches_dense_scan_at_window_edges(rng):
 
 
 def test_join_every_matches_dense_scan(rng):
-    """With every=True the join returns every normal-form pair within
-    epsilon, in (prefix rank, suffix rank) order, as a dense scan finds
-    them: for an Rz target and for targets at distance exactly epsilon from
-    a table pair, with both signs, so that only the -q_S window holds the
-    pair for one of them."""
+    """With every=True the join returns every pair within epsilon, in
+    (prefix rank, suffix rank) order, as a dense scan finds them: for an Rz
+    target and for targets at distance exactly epsilon from a table pair,
+    with both signs, so that only the -q_S window holds the pair for one of
+    them."""
     table = synth._TABLE
     table.ensure_length(17)
     epsilons = (0.3, 0.05, 0.012)
     for i, j in ((2, 1), (6, 5), (11, 11), (17, 16)):
         prefix, suffix = table.levels[i][0], table.levels[j][0]
-        while True:
-            a, b = int(rng.integers(len(prefix))), int(rng.integers(len(suffix)))
-            if is_normal_form(table.sequence(i, a, j, b)):
-                break
+        a, b = int(rng.integers(len(prefix))), int(rng.integers(len(suffix)))
         cases = [(rz_matrix(rng.uniform(0, 2 * np.pi)), epsilons)]
         for eps in epsilons:
             edge = edge_target(prefix[a], suffix[b], eps)

@@ -32,7 +32,6 @@ from .synth import (
     approximate_rz,
     compile_circuit,
     dist,
-    is_normal_form,
     sequence_unitary,
 )
 from .qpe import QpeSpec, build_inverse_qft, build_qpe

@@ -108,12 +108,16 @@ def _read_profile(path: str, circuit_path: str | None):
 
 
 def _check_output_dirs(args) -> None:
-    """Refuse an output file whose directory is missing before any stage
-    runs, so that no work is lost and no other output is left behind."""
+    """Refuse an output file whose directory is missing, or that names a
+    directory, before any stage runs, so that no work is lost and no other
+    output is left behind."""
     for name in ("output", "out_csv", "out_svg"):
-        folder = os.path.dirname(getattr(args, name, None) or "")
+        path = getattr(args, name, None) or ""
+        folder = os.path.dirname(path)
         if folder and not os.path.isdir(folder):
             raise ValidationError(f"output directory does not exist: {folder}")
+        if os.path.isdir(path):
+            raise ValidationError(f"output path is a directory: {path}")
 
 
 def _emit(data: bytes, out: str | None) -> None:

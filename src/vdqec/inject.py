@@ -35,12 +35,13 @@ R rows in one block, at most 2^(n-1) rows since a qubit is measured;
 the replay holds at most _BLOCK_AMPS amplitudes in a chunk of rows.
 sim owns the amplitude arithmetic of both sweeps: the gate kernel, which
 also applies a replayed site's Pauli product, the reduced overlap and
-the readout. All of it sums in a fixed order, with no BLAS product, so
-the records do not depend on the host's BLAS kernel, and a replayed row
-comes out bitwise equal to a replay of its site alone, whatever the
-chunk size. sim's readout, the one output_distribution uses, scores the
-noiseless run and every replayed site, and its MIN_PROB cut-off applies
-to the adjoint sweep's masses too. This module enumerates the sites,
+the readout. All of it sums in a fixed order, with no BLAS product and
+no fused complex product, so the records depend on neither the host's
+BLAS kernel nor its numpy SIMD level, and a replayed row comes out
+bitwise equal to a replay of its site alone, whatever the chunk size.
+sim's readout, the one output_distribution uses, scores the noiseless
+run, every replayed site and the adjoint sweep's overlaps; this module
+computes no |amp|^2 of its own. This module enumerates the sites,
 chooses the sweep and builds the records and the profile. The cached
 states hold G * 2^n amplitudes for G gates, which MAX_CACHED_AMPS
 bounds.
@@ -68,7 +69,6 @@ from .sim import (
     Circuit,
     _apply,
     _apply_op,
-    _cut_off,
     _masses,
     _outcome_rows,
     _reduced_overlap,
@@ -261,8 +261,8 @@ def _adjoint_psts(circuit: Circuit, prefixes, sites, rows) -> list[float]:
         g = gate
         red = _reduced_overlap(bra, prefixes[g], ops[g].qubits)
         amps = np.einsum("sab,abr->sr", _pauli_stack(labels), red)
-        mass.append(np.sum(amps.real ** 2 + amps.imag ** 2, axis=1))
-    return _cut_off(np.concatenate(mass[::-1])) if mass else []
+        mass = _masses(amps, slice(None)) + mass
+    return mass
 
 
 def _gate_stats(records) -> dict[int, tuple[float, float, int]]:

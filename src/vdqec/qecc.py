@@ -27,6 +27,10 @@ so the products run along each row and np.sum(axis=1) adds a row's terms
 in the order np.sum adds one point's: every bound is bitwise equal to the
 one-point pst_bound. A block holds at most BLOCK_CELLS cells, so memory
 stays bounded for any grid.
+
+Every power is Python's float power: the rate's (p / threshold)^((d+1)/2)
+and each point 10^x of log_p_grid. numpy's vectorised power rounds by SIMD
+level, so the bytes of a sweep would depend on the host.
 """
 
 from __future__ import annotations
@@ -340,7 +344,8 @@ def log_p_grid(p_min: float, p_max: float, points: int) -> np.ndarray:
         raise ValidationError(
             f"grid needs 2 to {MAX_GRID_POINTS} points, got {points}"
         )
-    grid = np.logspace(np.log10(p_min), np.log10(p_max), points)
+    exponents = np.linspace(math.log10(p_min), math.log10(p_max), points)
+    grid = np.array([10.0 ** x for x in exponents.tolist()])
     # 10**log10(p) can miss p by an ulp; the ends are the bounds asked for
     grid[0], grid[-1] = p_min, p_max
     return grid

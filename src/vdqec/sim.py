@@ -12,11 +12,15 @@ Conventions:
     states one per row, by elementwise sums over strided views in a fixed
     order: no BLAS product rounds an amplitude, so the results do not
     depend on the host's BLAS kernel or on the block a state rides in;
+  * a matrix entry with a nonzero real and a nonzero imaginary part
+    scales as x * Re m + x * (i Im m): two products and one sum, which no
+    SIMD level fuses, so the results do not depend on the SIMD level numpy
+    dispatches to either;
   * one readout rule, _masses, scores output_distribution and the fault
-    campaign alike: it adds |amp|^2 over the basis states of an outcome
-    in ascending index order, and an outcome of mass at most MIN_PROB
-    reads 0.0 (_cut_off). _reduced_overlap, the campaign's bra-ket sum
-    over the qubits a gate does not touch, uses the kernel's views.
+    campaign alike: it adds re^2 + im^2 over the basis states of an
+    outcome in ascending index order, and an outcome of mass at most
+    MIN_PROB reads 0.0. _reduced_overlap, the campaign's bra-ket sum over
+    the qubits a gate does not touch, uses the kernel's views.
 """
 
 from __future__ import annotations
@@ -234,7 +238,14 @@ def _apply(amps: np.ndarray, n: int, qubits: tuple[int, ...], mat: np.ndarray) -
     for y, row, keep in zip(_slices(out, qubits), rows, kept):
         if keep:
             continue
-        (m, x), *rest = [(m, x) for m, x in zip(row, ins) if m != 0]
+        # an entry with a nonzero real and a nonzero imaginary part scales
+        # as x * Re m + x * (i Im m): numpy fuses a complex product (FMA) on
+        # some SIMD levels and not on others, and two products that each
+        # have a zero part round alike on every level and cannot fuse
+        (m, x), *rest = [
+            (part, x) for m, x in zip(row, ins) if m != 0
+            for part in ((m.real, complex(0.0, m.imag)) if m.real and m.imag else (m,))
+        ]
         if m == 1:
             np.copyto(y, x)
         else:
@@ -291,20 +302,17 @@ def _outcome_rows(n: int, measured_qubits: tuple[int, ...]) -> np.ndarray:
     return np.argsort(keys, kind="stable").reshape(2 ** len(measured_qubits), -1)
 
 
-def _cut_off(mass: np.ndarray):
-    """mass as floats (a list, or a float for a scalar), with each mass
-    at most MIN_PROB set to 0.0: the outcomes output_distribution leaves
-    out."""
+def _masses(amps: np.ndarray, rows):
+    """The mass that amps puts on the basis states `rows`, with each mass
+    at most MIN_PROB read as 0.0, as floats: for one state (2^n,), a float
+    for rows (R,) and a list of one mass per row for rows (K, R); for a
+    block (B, 2^n), one state per row, and rows (R,), one mass per state.
+    rows = slice(None) takes every entry of the last axis. cumsum adds
+    re^2 + im^2 in ascending index order, where np.sum would add pairwise
+    and numpy's complex abs rounds by SIMD level."""
+    amps = amps[..., rows]
+    mass = np.cumsum(amps.real ** 2 + amps.imag ** 2, axis=-1)[..., -1]
     return np.where(mass > MIN_PROB, mass, 0.0).tolist()
-
-
-def _masses(amps: np.ndarray, rows: np.ndarray):
-    """The mass that amps puts on the basis states `rows`, through
-    _cut_off: for one state (2^n,), a float for rows (R,) and one mass
-    per row for rows (K, R); for a block (B, 2^n), one state per row, and
-    rows (R,), one mass per state. cumsum adds |amp|^2 in ascending index
-    order, where np.sum would add pairwise."""
-    return _cut_off(np.cumsum(np.abs(amps[..., rows]) ** 2, axis=-1)[..., -1])
 
 
 def output_distribution(

@@ -13,7 +13,8 @@ X < H < S < Sdg < T < Tdg. A table holds, per length, the least witness
 of each rotation that length reaches first (levels are deduplicated by
 the unit quaternion q below, rounded to a 1e-7 grid and signed so that
 its first nonzero coordinate is positive). Keeping least witnesses is
-the only word rule; normal form follows from it. Every forbidden pair
+the only word rule; normal form follows from it, so no table of the
+pairs above is kept or consulted. Every forbidden pair
 has another spelling of the same rotation that is shorter (the pairs
 that cancel, and TT = S, Tdg.Tdg = Sdg) or as long and lexicographically
 smaller (Sdg.Sdg = SS), so no least witness holds one. Each level
@@ -72,22 +73,6 @@ KIND_OF_SYMBOL = {"X": "X", "H": "H", "S": "S", "s": "Sdg", "T": "T", "t": "Tdg"
 
 _MATS = np.stack([gate_matrix(KIND_OF_SYMBOL[c]) for c in SYMBOLS])
 
-# adjacent pairs excluded from normal form; only is_normal_form reads them,
-# since the search keeps least witnesses (see module docstring)
-FORBIDDEN_PAIRS = frozenset(
-    [
-        ("X", "X"),
-        ("H", "H"),
-        ("S", "s"),
-        ("s", "S"),
-        ("s", "s"),
-        ("T", "t"),
-        ("t", "T"),
-        ("T", "T"),
-        ("t", "t"),
-    ]
-)
-
 # the join needs table levels up to ceil(34/2) = 17 (3,968 entries at level 17)
 MAX_SEARCH_LENGTH = 34
 DEFAULT_MAX_LENGTH = MAX_SEARCH_LENGTH
@@ -107,14 +92,6 @@ def dist(u: np.ndarray, v: np.ndarray) -> float:
     """Global-phase-invariant distance sqrt(1 - |tr(u^dag v)| / 2)."""
     overlap = abs(np.trace(u.conj().T @ v)) / 2.0
     return float(np.sqrt(max(0.0, 1.0 - overlap)))
-
-
-def is_normal_form(sequence: str) -> bool:
-    if any(c not in SYMBOLS for c in sequence):
-        raise ValidationError(f"unknown symbol in sequence {sequence!r}")
-    return all(
-        (a, b) not in FORBIDDEN_PAIRS for a, b in zip(sequence, sequence[1:])
-    )
 
 
 def sequence_unitary(sequence: str) -> np.ndarray:

@@ -178,7 +178,8 @@ def test_failed_write_leaves_no_partial_file(tmp_path):
     or in the write itself, removes its .partial file."""
     taken = tmp_path / "DIR"
     taken.mkdir()
-    assert run("qpe", "-o", str(taken)) == 2
+    with pytest.raises(OSError):
+        write_atomic(str(taken), b"{}")
     assert [p.name for p in tmp_path.iterdir()] == ["DIR"]
     with pytest.raises(TypeError):
         write_atomic(str(tmp_path / "out.json"), "not bytes")
@@ -194,25 +195,25 @@ def test_failed_write_leaves_no_partial_file(tmp_path):
 # sweep. A change that moves artifact bytes on purpose updates the digests
 # and records why
 LOCKED_MANIFESTS = {
-    "default": ({}, "089a161cee909d33732a872d3d93338534bbfcdb4b15be57148681022faa1670"),
+    "default": ({}, "3c339876c9c945a2c30ea566a9588d3f7c97fa23e063b1db4f85aa98a138f2fc"),
     "criterion-9": (
         {"synthesis_epsilon": 0.12, "max_length": 25, "p_points": 25},
-        "f5b38684f7edb3f6cb21c8b82377daf55555bffc0ea4f747e0e44b166c6dedfe",
+        "8a68058750ed6a52813fc2582ef28e37a33d396e6d84a4a96d013a9f41237036",
     ),
     "qpe8-full": (
         {"counting_qubits": 8, "phase_num": 69, "phase_den": 256,
          "synthesis_epsilon": 0.1, "injection_mode": "full-depolarizing"},
-        "2bddccf1ef992925a50acab91b6a4d3682352bdcd88be3a5647db03d2fa0c119",
+        "3cc75c2bc716be2b016782a4d84b7775b4eb1dcd21a23875c4d9565026c4dce0",
     ),
     "qpe5-mirrored": (
         {"counting_qubits": 5, "phase_num": 9, "phase_den": 32,
          "synthesis_epsilon": 0.03, "injection_mode": "mirrored"},
-        "a1f26366ffadc6f680ecfdced6764cc2e79eecb84d0ff14e2cd3a5ea583ba3fc",
+        "02eea249ad16216ff867e0df4eb164eecef0ea55f840bad89e80ac2cac59822b",
     ),
     "qpe11-mirrored": (
         {"counting_qubits": 11, "phase_num": 3, "phase_den": 2048,
          "synthesis_epsilon": 0.1, "injection_mode": "mirrored"},
-        "8e4c8cde990c5c22a1fe10d7350d0cda218b4b340bf5f5d5dc4ee4d6a24c153a",
+        "adcb714ac8ed74da5121b6a0bdb5b2d799b6b9ee6fec4c25bef68835e5581544",
     ),
 }
 
@@ -225,21 +226,41 @@ def test_pipeline_manifest_is_locked(tmp_path, config, digest):
     assert hashlib.sha256(manifest).hexdigest() == digest
 
 
-def test_locked_manifest_does_not_depend_on_the_blas_kernel(tmp_path, monkeypatch):
-    """The qpe8-full manifest is the locked one both under the OpenBLAS
-    kernel the host picks and under Prescott (SSE3, which every x86-64
-    runs): the campaign makes no BLAS product, whose rounding would depend
-    on the kernel. OpenBLAS reads OPENBLAS_CORETYPE when numpy loads, so
-    each kernel gets a child process of its own."""
-    config, digest = LOCKED_MANIFESTS["qpe8-full"]
+def _dispatch_levels():
+    """Values of NPY_DISABLE_CPU_FEATURES that step numpy's SIMD dispatch
+    down: none disabled, the AVX-512 groups disabled, and every dispatched
+    group disabled. The names come from numpy's own dispatch list, since
+    numpy refuses to disable a baseline group; a level that disables
+    nothing new is left out."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__ as dispatch
+
+    avx512 = [n for n in dispatch if "AVX512" in n or n == "X86_V4"]
+    return list(dict.fromkeys(["", " ".join(avx512), " ".join(dispatch)]))
+
+
+@pytest.mark.parametrize("name", ["qpe8-full", "criterion-9"])
+def test_locked_manifest_does_not_depend_on_the_host(tmp_path, monkeypatch, name):
+    """The manifest is the locked one at every numpy SIMD dispatch level
+    and, for qpe8-full, under OpenBLAS's Prescott kernel (SSE3, which
+    every x86-64 runs): the campaign makes no BLAS product, no fused
+    complex product and no vectorised |amp|^2 or power, whose rounding
+    would depend on the host. numpy reads NPY_DISABLE_CPU_FEATURES and
+    OpenBLAS reads OPENBLAS_CORETYPE when they load, so each setting gets
+    a child process of its own."""
+    config, digest = LOCKED_MANIFESTS[name]
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))
-    for coretype in (None, "Prescott"):
-        if coretype is None:
-            monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
-        else:
+    runs = [(level, None) for level in _dispatch_levels()]
+    if name == "qpe8-full":
+        runs.append(("", "Prescott"))
+    for i, (disabled, coretype) in enumerate(runs):
+        monkeypatch.delenv("NPY_DISABLE_CPU_FEATURES", raising=False)
+        monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
+        if disabled:
+            monkeypatch.setenv("NPY_DISABLE_CPU_FEATURES", disabled)
+        if coretype:
             monkeypatch.setenv("OPENBLAS_CORETYPE", coretype)
-        out = tmp_path / (coretype or "host")
+        out = tmp_path / f"run{i}"
         result = subprocess.run(
             [sys.executable, "-m", "vdqec.cli", "pipeline",
              "--config", str(cfg), "--out-dir", str(out)],
@@ -247,7 +268,7 @@ def test_locked_manifest_does_not_depend_on_the_blas_kernel(tmp_path, monkeypatc
         )
         assert result.returncode == 0, result.stderr
         manifest = (out / "manifest.json").read_bytes()
-        assert hashlib.sha256(manifest).hexdigest() == digest, coretype
+        assert hashlib.sha256(manifest).hexdigest() == digest, (disabled, coretype)
 
 
 def test_pipeline_rejects_unknown_config_keys(tmp_path, capsys):
@@ -428,22 +449,32 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, doc, argv):
     ["tts", "--profile", "p.json", "--out-csv", "{tmp}/s.csv",
      "--out-svg", "{missing}/s.svg"],
     ["tts", "--profile", "p.json", "--out-csv", "{missing}/s.csv"],
-], ids=["inject", "compile", "heatmap-svg", "tts-svg", "tts-csv"])
+    ["inject", "--circuit", "c.json", "-o", "{dir}"],
+    ["qpe", "--compile", "0.1", "-o", "{dir}"],
+    ["compile", "--circuit", "c.json", "--epsilon", "0.1", "-o", "{dir}/"],
+    ["heatmap", "--profile", "p.json", "--out-csv", "{dir}", "--out-svg", "{tmp}/h.svg"],
+    ["tts", "--profile", "p.json", "--out-csv", "{tmp}/s.csv", "--out-svg", "{dir}"],
+], ids=["inject", "compile", "heatmap-svg", "tts-svg", "tts-csv", "inject-dir",
+        "qpe-dir", "compile-dir", "heatmap-csv-dir", "tts-svg-dir"])
 def test_missing_output_directory_exits_2_before_any_stage(tmp_path, monkeypatch,
                                                            capsys, argv):
-    """An output path whose directory is missing is refused before any
-    input is read or any stage runs, so no campaign is lost and no CSV is
-    left without its SVG."""
+    """An output path whose directory is missing, or that names a
+    directory, is refused before any input is read or any stage runs, so
+    no campaign is lost and no CSV is left without its SVG."""
     def never(*args, **kwargs):
         raise AssertionError("a stage ran before the output paths were checked")
 
-    for name in ("run_campaign", "_read_circuit", "_read_profile"):
+    for name in ("run_campaign", "_read_circuit", "_read_profile", "build_qpe"):
         monkeypatch.setattr(f"vdqec.cli.{name}", never)
-    paths = {"tmp": str(tmp_path), "missing": str(tmp_path / "no" / "such")}
+    (tmp_path / "dir").mkdir()
+    paths = {"tmp": str(tmp_path), "missing": str(tmp_path / "no" / "such"),
+             "dir": str(tmp_path / "dir")}
     assert run(*(a.format_map(paths) for a in argv)) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: output directory does not exist"), err
-    assert list(tmp_path.iterdir()) == []
+    want = "is a directory" if "{dir}" in " ".join(argv) else "does not exist"
+    assert err.startswith("error: output ") and want in err, err
+    assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+    assert list((tmp_path / "dir").iterdir()) == []
 
 
 # one valid document per loader; the property below mutates them

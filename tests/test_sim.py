@@ -160,22 +160,47 @@ def test_output_distribution_is_bitwise_a_plain_loop(rng, n, measured):
     basis states that read it, added one at a time in index order, and an
     outcome of probability at most 1e-15 is left out. A plain loop that
     shares no code with the readout must give the same floats, bit for
-    bit. Each basis state's probability is numpy's |amp|**2, because
-    numpy's complex abs rounds unlike Python's and libm's hypot in the
-    last bit. Some amplitudes are 0 or about 1e-9, so that with every
-    qubit measured some outcomes fall under the cut-off."""
+    bit. Some amplitudes are 0 or about 1e-9, so that with every qubit
+    measured some outcomes fall under the cut-off."""
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     amps[rng.random(2**n) < 0.2] = 0.0
     amps[rng.random(2**n) < 0.2] *= 1e-9
     state = StateVector(n, amps / np.linalg.norm(amps))
     acc = {}
-    for i, prob in enumerate((np.abs(state.amplitudes) ** 2).tolist()):
+    for i, z in enumerate(state.amplitudes.tolist()):
         key = "".join(str(i >> q & 1) for q in measured)
-        acc[key] = acc.get(key, 0.0) + prob
+        acc[key] = acc.get(key, 0.0) + (z.real * z.real + z.imag * z.imag)
     expected = {key: p for key, p in acc.items() if p > 1e-15}
     if len(measured) == n > 1:
         assert len(expected) < len(acc)
     assert output_distribution(state, measured) == expected
+
+
+@pytest.mark.parametrize("kind, qubits", [
+    ("T", (2,)), ("Tdg", (0,)), ("Rz", (3,)), ("ControlledPhase", (1, 3)),
+    ("ControlledPhase", (3, 0)),
+])
+@pytest.mark.parametrize("rows", [None, 5])
+def test_phase_products_are_unfused(rng, kind, qubits, rows):
+    """A phase e^{i theta} with a nonzero real and a nonzero imaginary part
+    multiplies each amplitude as two rounded products and one sum per
+    part, the arithmetic of a plain Python loop, on every SIMD level: a
+    fused multiply-add would round the sum once and miss these floats in
+    the last bit. Each state of a block gets the same floats."""
+    n = 4
+    params = (float(rng.uniform(0.1, 3.0)),) * GATE_SIGNATURES[kind][1]
+    shape = (2**n,) if rows is None else (rows, 2**n)
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    phase = complex(gate_matrix(kind, params)[-1, -1])
+    assert phase.real and phase.imag
+    got = sim._apply(amps, n, qubits, gate_matrix(kind, params))
+    expected = amps.copy()
+    for state in expected.reshape(-1, 2**n):
+        for i, z in enumerate(state.tolist()):
+            if all(i >> q & 1 for q in qubits):
+                state[i] = complex(z.real * phase.real - z.imag * phase.imag,
+                                   z.real * phase.imag + z.imag * phase.real)
+    assert np.array_equal(got, expected)
 
 
 def test_pst_reads_distribution():

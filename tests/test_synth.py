@@ -19,7 +19,6 @@ from vdqec.synth import (
     DEFAULT_MAX_LENGTH,
     approximate_rz,
     compile_circuit,
-    is_normal_form,
     sequence_unitary,
 )
 
@@ -38,6 +37,11 @@ ORACLE_FORBIDDEN = {
     ("H", "H"), ("X", "X"), ("S", "s"), ("s", "S"), ("s", "s"),
     ("T", "t"), ("t", "T"), ("T", "T"), ("t", "t"),
 }
+
+
+def oracle_normal_form(word):
+    """No adjacent pair of word is in ORACLE_FORBIDDEN."""
+    return all((a, b) not in ORACLE_FORBIDDEN for a, b in zip(word, word[1:]))
 
 
 def oracle_dist(u, theta):
@@ -135,7 +139,7 @@ def test_table_words_spell_their_unitaries():
         assert words.shape == (len(units), level)
         for u, row in zip(units, words):
             word = "".join(synth.SYMBOLS[k] for k in row)
-            assert is_normal_form(word), word
+            assert oracle_normal_form(word), word
             want = np.eye(2, dtype=complex)
             for c in word:
                 want = ORACLE_MATS[c] @ want
@@ -161,17 +165,23 @@ def test_table_levels_match_plain_enumeration():
 
 @pytest.mark.parametrize("pair", [a + b for a in ORACLE_ORDER for b in ORACLE_ORDER])
 def test_is_normal_form_applies_every_pair_rule(pair):
-    """Each of the 9 forbidden pairs is rejected, alone and inside a longer
-    word whose other junctions are legal; the other 27 pairs are legal."""
-    a, b = pair
-    if (a, b) not in ORACLE_FORBIDDEN:
-        assert is_normal_form(pair)
-        return
-    assert not is_normal_form(pair)
-    left = next(c for c in "HX" if (c, a) not in ORACLE_FORBIDDEN)
-    right = next(c for c in "HX" if (b, c) not in ORACLE_FORBIDDEN)
-    assert is_normal_form(left + a) and is_normal_form(b + right)
-    assert not is_normal_form(left + pair + right)
+    """The table keeps no list of forbidden pairs; its least-witness dedup
+    applies them. The table's witness of the rotation a two-letter word
+    spells is the least word of that rotation, by length and then in
+    symbol order, and is in normal form under the oracle's pair rules. A
+    forbidden pair is never its own witness: a shorter or a smaller word
+    spells its rotation too."""
+    def order(word):
+        return len(word), [ORACLE_ORDER.index(c) for c in word]
+
+    synth._TABLE.ensure_length(2)
+    key = oracle_rotation_key(ORACLE_MATS[pair[1]] @ ORACLE_MATS[pair[0]])
+    (witness,) = ["".join(synth.SYMBOLS[k] for k in row)
+                  for units, words in synth._TABLE.levels[:3]
+                  for u, row in zip(units, words) if oracle_rotation_key(u) == key]
+    assert oracle_normal_form(witness) and order(witness) <= order(pair)
+    if tuple(pair) in ORACLE_FORBIDDEN:
+        assert witness != pair
 
 
 def test_s_is_quarter_rotation():
@@ -199,13 +209,13 @@ def test_adjoints_have_lowercase_notation():
 def test_report_length_matches_sequence():
     r = approximate_rz(0.9, 0.05, 12)
     assert r.length == len(r.sequence)
-    assert is_normal_form(r.sequence)
+    assert oracle_normal_form(r.sequence)
 
 
 def test_soundness_recomputed_independently(rng):
     for theta in rng.uniform(0, 2 * np.pi, size=8):
         r = approximate_rz(theta, 0.08, 16)
-        assert is_normal_form(r.sequence)
+        assert oracle_normal_form(r.sequence)
         u = sequence_unitary(r.sequence)
         assert oracle_dist(u, theta % (2 * np.pi)) == pytest.approx(
             r.achieved_distance, abs=1e-12
@@ -371,7 +381,7 @@ def test_full_budget_stays_bounded():
     r = approximate_rz(0.1, 1e-9, DEFAULT_MAX_LENGTH)
     assert not r.converged
     assert len(r.sequence) == r.length <= DEFAULT_MAX_LENGTH
-    assert is_normal_form(r.sequence)
+    assert oracle_normal_form(r.sequence)
     assert r.achieved_distance == pytest.approx(
         oracle_dist(sequence_unitary(r.sequence), 0.1), abs=1e-12
     )

@@ -76,21 +76,12 @@ def _cell_stroke(value: float) -> tuple[str, str]:
     return color, f"{1.0 + 5.0 * (1.0 - v):.2f}"
 
 
-def heatmap_rows(profile: SensitivityProfile) -> list[tuple[int, int, float, int, float]]:
-    """Cell table sorted by (qubit, timestep)."""
-    cells = profile.cells
-    return [
-        (q, t, cells[(q, t)].mean_relative_pst, cells[(q, t)].n_records,
-         cells[(q, t)].min_relative_pst)
-        for q, t in sorted(cells)
-    ]
-
-
 def heatmap_csv_bytes(profile: SensitivityProfile) -> bytes:
+    """One row per cell, sorted by (qubit, timestep)."""
     return _csv(
         ["qubit", "timestep", "mean_relative_pst", "n_records", "min_relative_pst"],
-        ((q, t, _num(mean), n, _num(low))
-         for q, t, mean, n, low in heatmap_rows(profile)),
+        ((q, t, _num(c.mean_relative_pst), c.n_records, _num(c.min_relative_pst))
+         for (q, t), c in sorted(profile.cells.items())),
     )
 
 

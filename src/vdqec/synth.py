@@ -2,24 +2,22 @@
 
 Sequences are strings over X, H, S, s, T, t (lowercase means adjoint),
 applied left to right in circuit time order. A sequence is in normal
-form when no adjacent pair can be rewritten away: HH, XX, S.Sdg, Sdg.S,
-T.Tdg, Tdg.T cancel, TT and Tdg.Tdg reduce to S and Sdg, and Sdg.Sdg is
-respelled as SS (the canonical in-alphabet spelling of Z, which is why
-SS itself stays legal).
+form when it is the least witness of its rotation: the least word, by
+length and then lexicographically on the symbol order
+X < H < S < Sdg < T < Tdg, that spells the same unitary up to global
+phase. Pair rules follow from it, and none is kept or consulted: no
+least witness holds a pair that another spelling of its rotation makes
+shorter (HH, XX, S.Sdg, Sdg.S, T.Tdg and Tdg.T cancel; TT = S,
+Tdg.Tdg = Sdg, S.Tdg = Tdg.S = T and Sdg.T = T.Sdg = Tdg) or as long and
+smaller (Sdg.Sdg = SS, the in-alphabet spelling of Z).
 
 approximate_rz returns the shortest sequence within epsilon of the
-target, ties broken lexicographically on the symbol order
-X < H < S < Sdg < T < Tdg. A table holds, per length, the least witness
-of each rotation that length reaches first (levels are deduplicated by
-the unit quaternion q below, rounded to a 1e-7 grid and signed so that
-its first nonzero coordinate is positive). Keeping least witnesses is
-the only word rule; normal form follows from it, so no table of the
-pairs above is kept or consulted. Every forbidden pair
-has another spelling of the same rotation that is shorter (the pairs
-that cancel, and TT = S, Tdg.Tdg = Sdg) or as long and lexicographically
-smaller (Sdg.Sdg = SS), so no least witness holds one. Each level
-extends every entry of the last by all six symbols and keeps the least
-witnesses of the rotations no level holds yet. For each length
+target, ties broken lexicographically, and so in normal form. A table
+holds, per length, the least witness of each rotation that length reaches
+first (levels are deduplicated by the unit quaternion q below, rounded to
+a 1e-7 grid and signed so that its first nonzero coordinate is positive).
+Each level extends every entry of the last by all six symbols and keeps
+the least witnesses of the rotations no level holds yet. For each length
 L = 0, 1, ... the search joins table level ceil(L/2) as prefix with
 level L - ceil(L/2) as suffix (meet in the middle, Amy, Maslov, Mosca and
 Roetteler, arXiv:1206.0758) and stops at the first length with a hit.
@@ -28,28 +26,33 @@ of the least minimal word are least witnesses of rotations first reached
 at their own lengths, or a swap would give a shorter or a smaller word.
 So the table only grows to level ceil(max_length/2) <= 17, small enough
 (3,968 entries there) that each level keeps its words as int8 rows of
-symbol indices, not as parent pointers. The least minimal word is in
-normal form, so the join scores every junction.
+symbol indices, not as parent pointers.
 
-The join scores only the pairs that can pass. Up to sign, a unitary u has
-the unit quaternion q = (Re a, Im a, Re b, Im b) of u / sqrt(det u) =
+The join returns every pair P.S within a radius of the target, as
+(prefix rank, suffix rank) in rank order, once each. Ranks follow the
+words' lexicographic order, so the first pair spells the least word. It
+scores only the pairs that can pass. Up to sign, a unitary u has the
+unit quaternion q = (Re a, Im a, Re b, Im b) of u / sqrt(det u) =
 [[a, -b*], [b, a*]], and |tr(V_S^dag U_P)| / 2 = |q_P . q_S|. So a pair
-is within epsilon when q_P.q_S >= 1 - epsilon^2 for q_S or for -q_S, and
-then q_P and that +-q_S differ by at most sqrt(2) epsilon in every
-coordinate. Each level keeps its quaternions sorted on the first
-coordinate, built as the level grows. A join sorts the +-q_S
-of its suffixes, and each block of 128 of them scores one real product
-against the prefixes inside that window, widened by a rounding slack
-(derived at _SLACK). The few pairs above 1 - epsilon^2 - slack get the
-exact test on the complex overlap, and the least (prefix rank, suffix
-rank) hit is the first hit in lexicographic order. A miss returns no
-pairs. Only a search that never converges reruns its joins, each asking
-for every pair within the best distance found at a shorter length (2 at
-the start): only such a pair can replace the best, and every witness of
-the least-distance rotation lies inside that one window too. A pair with
-a forbidden junction spells a rotation that a shorter word or a smaller
-pair spells too, so it was already scored, and a pair must beat the best
-by 1e-12 to replace it.
+is within radius r when q_P.q_S >= 1 - r^2 for q_S or for -q_S, and then
+q_P and that +-q_S differ by at most sqrt(2) r in every coordinate. Each
+level keeps its quaternions sorted on the first coordinate, built as the
+level grows. A join sorts the +-q_S of its suffixes, and each block of
+128 of them scores one real product against the prefixes inside that
+window, widened by a rounding slack (derived at _SLACK). The pairs above
+1 - r^2 - slack get the exact test on the complex overlap; a wide radius
+can pass a pair near both +q_S and -q_S, so the hits are sorted and
+deduplicated.
+
+The search joins each length at epsilon and returns the first pair of
+the first length with one. Only a search that never converges reruns its
+joins, each within the best distance found at a shorter length (2 at the
+start): only such a pair can replace the best, and every witness of the
+least-distance rotation lies inside that one window too. It scores each
+rotation by its least witness, by the rule that grows the table, and a
+pair must beat the best by 1e-12 to replace it; a word that is not in
+normal form spells a rotation that a shorter word or a smaller pair
+spells too, so it was already scored.
 
 The join rounds its overlaps differently from a scan of level L, so a
 distance within about 1e-16 of epsilon could in principle fall on the
@@ -128,15 +131,9 @@ class _SearchTable:
 
     def _add_level(self, units: np.ndarray, words: np.ndarray) -> None:
         """Append the candidates whose rotations no level holds yet. They
-        come in (parent, symbol) order, which is lexicographic, so the first
-        unseen key is the least witness of a new rotation."""
+        come in (parent, symbol) order, which is lexicographic."""
         q = _quaternions(units)
-        keep = np.zeros(len(q), dtype=bool)
-        for i, key in enumerate(_rotation_keys(q)):
-            kb = key.tobytes()
-            if kb not in self._seen:
-                self._seen.add(kb)
-                keep[i] = True
+        keep = _least_witnesses(q, self._seen)
         self.levels.append((units[keep], words[keep]))
         q = q[keep]
         q[q[:, 0] < 0] *= -1.0
@@ -144,14 +141,9 @@ class _SearchTable:
         q = q[order]
         self._views.append((q, q[:, 0].copy(), order))
 
-    def join(self, i: int, j: int, target: np.ndarray, epsilon: float,
-             every: bool = False):
-        """Find the first word P.S (P in level i, S in level j) in
-        lexicographic order within epsilon of target. Every junction is
-        scored: the first hit of the first length that converges is in
-        normal form (see the module docstring). Returns (hit, prefix ranks,
-        suffix ranks): the first hit alone, or no pairs on a miss. With
-        every it returns every pair within epsilon, in the same order."""
+    def join(self, i: int, j: int, target: np.ndarray, radius: float):
+        """Every pair P.S (P in level i, S in level j) within radius of the
+        target, as (prefix ranks, suffix ranks) in rank order, once each."""
         keys, key0, order = self._views[i]
         prefix = self.levels[i][0]
         suffix = self.levels[j][0]
@@ -164,43 +156,25 @@ class _SearchTable:
         by_key = np.argsort(signed[:, 0], kind="stable")
         signed, s_rank = signed[by_key], by_key % n
         flat, v_conj = prefix.reshape(-1, 4), v.conj().reshape(-1, 4)
-        cut = 1.0 - epsilon**2 - _SLACK
+        cut = 1.0 - radius**2 - _SLACK
         half = math.sqrt(2.0 * (1.0 - cut + _SLACK))
-        total = len(prefix) * n
-        best, found, start = total, [], 0
+        found, start = [np.empty(0, dtype=int)], 0
         while start < 2 * n:
             block = signed[start : start + _BLOCK]
             lo, hi = key0.searchsorted((block[0, 0] - half, block[-1, 0] + half))
             ranks, window = order[lo:hi], keys[lo:hi]
-            if best < total:  # only prefixes up to the best hit's can beat it
-                fit = ranks <= best // n
-                ranks, window = ranks[fit], window[fit]
             block = block[: max(1, _CELLS // max(1, len(ranks)))]
             block_ranks = s_rank[start : start + len(block)]
             start += len(block)
-            if not len(ranks):
-                continue
             dots = block @ window.T
-            if dots.max() < cut:
+            if not dots.size or dots.max() < cut:
                 continue
             b, w = np.nonzero(dots >= cut)
             p, s = ranks[w], block_ranks[b]
-            cells = p * n + s
-            keep = cells < best
-            p, s, cells = p[keep], s[keep], cells[keep]
-            hits = cells[_distance(_overlap(flat[p], v_conj[s])) <= epsilon]
-            if every:
-                found.append(hits)
-            elif hits.size:
-                best = int(hits.min())
-        if every:
-            # rank order, once each: a wide epsilon scores a pair near both
-            # +q_S and -q_S (np.unique would import numpy.ma, about 1.5 MB)
-            cells = np.sort(np.concatenate([np.empty(0, dtype=int), *found]))
-            cells = cells[np.diff(cells, prepend=-1) > 0]
-        else:
-            cells = np.array([best] if best < total else [], dtype=int)
-        return bool(cells.size), *np.divmod(cells, n)
+            found.append((p * n + s)[_distance(_overlap(flat[p], v_conj[s])) <= radius])
+        # sorted and deduplicated here: numpy's unique imports numpy.ma (1.5 MB)
+        cells = np.sort(np.concatenate(found))
+        return np.divmod(cells[np.diff(cells, prepend=-1) > 0], n)
 
     def words(self, i: int, prefix: np.ndarray, j: int, suffix: np.ndarray,
               target_dag: np.ndarray):
@@ -236,6 +210,19 @@ def _rotation_keys(q: np.ndarray) -> np.ndarray:
     first = keys[np.arange(len(keys)), np.argmax(keys != 0, axis=1)]
     keys[first < 0] *= -1
     return keys
+
+
+def _least_witnesses(q: np.ndarray, seen: set) -> np.ndarray:
+    """Mask of the rows, taken in order, whose rotation key is not in seen
+    yet; their keys join seen. Rows in lexicographic word order keep the
+    least witness of each new rotation."""
+    keep = np.zeros(len(q), dtype=bool)
+    for i, key in enumerate(_rotation_keys(q)):
+        kb = key.tobytes()
+        if kb not in seen:
+            seen.add(kb)
+            keep[i] = True
+    return keep
 
 
 def _overlap(u: np.ndarray, v_conj: np.ndarray) -> np.ndarray:
@@ -308,21 +295,20 @@ def approximate_rz(
     for length, (i, j) in enumerate(splits):
         # grow the shared table one level at a time so early hits stay cheap
         _TABLE.ensure_length(i)
-        hit, p, s = _TABLE.join(i, j, target, epsilon)
-        if hit:
-            _, d = _TABLE.words(i, p, j, s, target_dag)
+        p, s = _TABLE.join(i, j, target, epsilon)
+        if p.size:
+            _, d = _TABLE.words(i, p[:1], j, s[:1], target_dag)
             seq = _TABLE.sequence(i, int(p[0]), j, int(s[0]))
             return ApproxReport(seq, theta, float(d[0]), length, True)
     best = (2.0, "")
     for i, j in splits:
         # only a pair within the best distance so far can replace it
-        hit, p, s = _TABLE.join(i, j, target, best[0], every=True)
-        if not hit:
+        p, s = _TABLE.join(i, j, target, best[0])
+        if not p.size:
             continue
         u, d = _TABLE.words(i, p, j, s, target_dag)
         # score each rotation by its least witness, as the table stores it
-        _, first = np.unique(_rotation_keys(_quaternions(u)), axis=0, return_index=True)
-        first.sort()
+        first = np.flatnonzero(_least_witnesses(_quaternions(u), set()))
         k = int(first[np.argmin(d[first])])
         if d[k] < best[0] - 1e-12:
             best = (float(d[k]), _TABLE.sequence(i, int(p[k]), j, int(s[k])))

@@ -1,3 +1,4 @@
+import itertools
 import os
 import tracemalloc
 from dataclasses import replace
@@ -103,29 +104,40 @@ def relative_pst_of_injection(
     return noisy / ideal
 
 
+def oracle_gate_error(op, assignment, p, params):
+    """q_g of a gate, from the model itself, not from vdqec.qecc:
+    1 - prod over the gate's patches of (1 - min(1, A * (p / p_th)^((d+1)/2)))
+    with d each patch's distance at the gate's timestep."""
+    ok = 1.0
+    for q in op.qubits:
+        d = [dist for start, dist in assignment.schedules[q]
+             if start <= op.timestep][-1]
+        rate = params.prefactor * (p / params.threshold) ** ((d + 1) / 2)
+        ok *= 1.0 - min(1.0, rate)
+    return 1.0 - ok
+
+
+def correct_rows(circuit, correct):
+    """Mask of the basis states whose measured bits (first bit = first
+    measured qubit) read the correct outcome."""
+    index = np.arange(2**circuit.num_qubits)
+    rows = np.ones(len(index), dtype=bool)
+    for bit, q in zip(correct, circuit.measured_qubits):
+        rows &= ((index >> q) & 1) == int(bit)
+    return rows
+
+
 def exact_success_and_multi_mass(circuit, correct, assignment, p, params):
     """Oracle for the PST lower bound: walk EVERY error pattern (each
     faultable gate independently suffers no error, or one of the mirrored
     Pauli types with probability q_g/3 each), simulating each branch
     exactly. Returns (exact success probability, total probability mass
-    of patterns with two or more errors). q_g comes from the model itself,
-    not from vdqec.qecc: 1 - prod over the gate's patches of
-    (1 - min(1, A * (p / p_th)^((d+1)/2))).
+    of patterns with two or more errors), with q_g from oracle_gate_error.
 
     The walk is breadth-first: a (B, 2^n) block holds one state per error
     pattern of the gates so far, with its weight and its error count, and
     a faultable gate stacks the no-error block on its X, Y and Z blocks."""
     n = circuit.num_qubits
-
-    def q_gate(op):
-        ok = 1.0
-        for q in op.qubits:
-            d = [dist for start, dist in assignment.schedules[q]
-                 if start <= op.timestep][-1]
-            rate = params.prefactor * (p / params.threshold) ** ((d + 1) / 2)
-            ok *= 1.0 - min(1.0, rate)
-        return 1.0 - ok
-
     states = np.zeros((1, 2**n), dtype=complex)
     states[0, 0] = 1.0
     weights, errors = np.ones(1), np.zeros(1, dtype=int)
@@ -133,7 +145,7 @@ def exact_success_and_multi_mass(circuit, correct, assignment, p, params):
         states = states @ embed_gate(n, op.qubits, gate_matrix(op.kind, op.params)).T
         if not op.faultable:
             continue
-        q_g = q_gate(op)
+        q_g = oracle_gate_error(op, assignment, p, params)
         blocks = [states]
         for pauli in "XYZ":
             corrupted = states
@@ -143,14 +155,79 @@ def exact_success_and_multi_mass(circuit, correct, assignment, p, params):
         states = np.concatenate(blocks)
         weights = np.concatenate([weights * (1.0 - q_g)] + [weights * q_g / 3.0] * 3)
         errors = np.concatenate([errors] + [errors + 1] * 3)
-    # basis states whose measured bits (first bit = first measured qubit)
-    # read the correct outcome
-    index = np.arange(2**n)
-    correct_rows = np.ones(2**n, dtype=bool)
-    for bit, q in zip(correct, circuit.measured_qubits):
-        correct_rows &= ((index >> q) & 1) == int(bit)
-    success = np.sum(np.abs(states[:, correct_rows]) ** 2, axis=1)
+    success = np.sum(np.abs(states[:, correct_rows(circuit, correct)]) ** 2, axis=1)
     return float(weights @ success), float(weights[errors >= 2].sum())
+
+
+def mode_paulis(mode, width):
+    """The Pauli products a fault site of a width-qubit gate applies, one
+    letter per qubit of the gate: the same Pauli on each qubit when
+    mirrored, every non-identity product under full depolarizing."""
+    if mode == "mirrored":
+        return [c * width for c in "XYZ"]
+    return ["".join(f) for f in itertools.product("IXYZ", repeat=width)][1:]
+
+
+def conjugate_local(rho, qubits, mat):
+    """mat rho mat^dag for each matrix of a stack held as a tensor
+    (K, row bits, column bits), most significant bit first: mat (qubits[0]
+    the most significant bit of its index) contracts the row axes of the
+    gate's qubits, and conj(mat) their column axes."""
+    n, k = (rho.ndim - 1) // 2, len(qubits)
+    gate = mat.reshape((2,) * 2 * k)
+    for axes, m in (([n - q for q in qubits], gate), ([2 * n - q for q in qubits], gate.conj())):
+        rho = np.tensordot(m, rho, axes=(list(range(k, 2 * k)), axes))
+        rho = np.moveaxis(rho, list(range(k)), axes)
+    return rho
+
+
+def conjugate_pauli(rho, qubits, paulis):
+    """P rho P for a Pauli product (one letter of I, X, Y, Z per qubit) on
+    the tensor of conjugate_local: X flips the qubit's row and column bits,
+    Z negates the entries whose two bits differ, and Y = iXZ does both."""
+    n = (rho.ndim - 1) // 2
+    for q, c in zip(qubits, paulis):
+        if c in "YZ":
+            shape = [1] * rho.ndim
+            shape[n - q] = shape[2 * n - q] = 2
+            rho = rho * np.array([[1.0, -1.0], [-1.0, 1.0]]).reshape(shape)
+        if c in "XY":
+            rho = np.flip(rho, (n - q, 2 * n - q))
+    return rho
+
+
+def density_matrix_pst(circuit, correct, mode, assignments, grid, params):
+    """Exact PST of the circuit under the bound's own fault model, for each
+    assignment (rows) and p (columns): one density matrix per pair, evolved
+    gate by gate, and after each faultable gate the channel
+    rho -> (1 - q_g) rho + q_g mean_P P rho P over the mode's Paulis, with
+    q_g from oracle_gate_error. Pairs with the same q_g at every gate share
+    one matrix. Returns (exact PST, closed-form probability mass of two or
+    more faults), each of shape (assignments, points). Shares no code with
+    vdqec.qecc or vdqec.inject."""
+    n = circuit.num_qubits
+    faultable = [op for op in circuit.ops if op.faultable]
+    q_all = np.array([[oracle_gate_error(op, a, p, params) for a in assignments for p in grid]
+                      for op in faultable]).reshape(len(faultable), -1)
+    q_unique, pair_of = np.unique(q_all, axis=1, return_inverse=True)
+    rho = np.zeros((q_unique.shape[1], 2**n, 2**n), dtype=complex)
+    rho[:, 0, 0] = 1.0
+    rho = rho.reshape((len(rho),) + (2,) * 2 * n)
+    q_rows = iter(q_unique)
+    for op in circuit.ops:
+        rho = conjugate_local(rho, op.qubits, gate_matrix(op.kind, op.params))
+        if op.faultable:
+            q = next(q_rows).reshape((-1,) + (1,) * 2 * n)
+            paulis = mode_paulis(mode, len(op.qubits))
+            noisy = sum(conjugate_pauli(rho, op.qubits, f) for f in paulis) / len(paulis)
+            rho = (1.0 - q) * rho + q * noisy
+    rows = correct_rows(circuit, correct)
+    diagonal = np.einsum("kii->ki", rho.reshape(len(rho), 2**n, 2**n))
+    exact = diagonal[:, rows].real.sum(axis=1)[pair_of]
+    none = np.prod(1.0 - q_all, axis=0)
+    one = none * np.sum(q_all / (1.0 - q_all), axis=0)
+    shape = (len(assignments), len(grid))
+    return exact.reshape(shape), (1.0 - none - one).reshape(shape)
 
 
 def site_error_prob(qubits, timestep, assignment, p, params=DEFAULT_PARAMS):
@@ -254,30 +331,15 @@ def _dense_join_distances(i, j, target):
         yield r0, np.sqrt(np.maximum(0.0, 1.0 - tr / 2.0))
 
 
-def dense_join_scan(i, j, target, epsilons):
-    """Oracle for _SearchTable.join: score every pair P.S of table levels i
-    and j in prefix rank order, and return per epsilon the first
-    (prefix rank, suffix rank) within epsilon, or None."""
-    hits = {}
+def dense_join_every(i, j, target, radii):
+    """Oracle for _SearchTable.join: per radius, every (prefix rank, suffix
+    rank) pair of table levels i and j within that radius, in rank order,
+    as an (m, 2) array."""
+    found = {r: [np.empty((0, 2), dtype=int)] for r in radii}
     for r0, d in _dense_join_distances(i, j, target):
-        for eps in set(epsilons) - set(hits):
-            found = np.argwhere(d <= eps)
-            if len(found):
-                hits[eps] = (r0 + int(found[0][0]), int(found[0][1]))
-        if len(hits) == len(epsilons):
-            break
-    return [hits.get(eps) for eps in epsilons]
-
-
-def dense_join_every(i, j, target, epsilons):
-    """Oracle for _SearchTable.join with every=True: per epsilon, every
-    (prefix rank, suffix rank) pair of table levels i and j within epsilon,
-    in rank order, as an (m, 2) array."""
-    found = {eps: [np.empty((0, 2), dtype=int)] for eps in epsilons}
-    for r0, d in _dense_join_distances(i, j, target):
-        for eps in epsilons:
-            found[eps].append(np.argwhere(d <= eps) + (r0, 0))
-    return [np.concatenate(found[eps]) for eps in epsilons]
+        for r in radii:
+            found[r].append(np.argwhere(d <= r) + (r0, 0))
+    return [np.concatenate(found[r]) for r in radii]
 
 
 @pytest.fixture(autouse=True)

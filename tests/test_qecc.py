@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import exact_success_and_multi_mass, scalar_pst_bound, site_error_prob
+from conftest import (
+    density_matrix_pst,
+    exact_success_and_multi_mass,
+    scalar_pst_bound,
+    site_error_prob,
+)
 from vdqec import qecc
 from vdqec.errors import AssignmentError, ValidationError
 from vdqec.inject import GateSummary, SensitivityProfile, run_campaign
@@ -28,7 +33,7 @@ from vdqec.qecc import (
     uniform_assignment,
 )
 from vdqec.qpe import build_qpe
-from vdqec.sim import Circuit, GateOp
+from vdqec.sim import Circuit, GateOp, output_distribution, simulate
 from vdqec.synth import compile_circuit
 
 P_TH = 0.0057
@@ -371,11 +376,15 @@ def test_sweep_is_bitwise_the_scalar_bound_on_random_profiles(rng):
 
 
 @pytest.fixture(scope="module")
-def default_profile():
+def default_compiled():
     cfg = RunConfig()
     circuit, correct = build_qpe()
-    compiled = compile_circuit(circuit, cfg.synthesis_epsilon, cfg.max_length)
-    return run_campaign(compiled, correct, cfg.injection_mode)
+    return compile_circuit(circuit, cfg.synthesis_epsilon, cfg.max_length), correct
+
+
+@pytest.fixture(scope="module")
+def default_profile(default_compiled):
+    return run_campaign(*default_compiled, RunConfig().injection_mode)
 
 
 def test_sweep_is_bitwise_the_scalar_bound_on_default_ladder(default_profile):
@@ -422,3 +431,51 @@ def test_sweep_memory_is_bounded(rng):
         tracemalloc.stop()
     assert len(points) == qecc.MAX_GRID_POINTS
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_density_matrix_oracle_matches_exhaustive_walk(rng):
+    """The two exact oracles agree on random 2-qubit circuits of 3-8 gates,
+    mirrored, under a two-distance assignment: the density-matrix channel
+    and the walk over every error pattern."""
+    params = ErrorModelParams()
+    assignment = CodeAssignment("mixed", 2, (((0, 3), (2, 5)), ((0, 5),)))
+    grid = (1e-3, 4e-3, 8e-3)
+    for trial in range(10):
+        ops = []
+        for t in range(int(rng.integers(3, 9))):
+            if rng.random() < 0.35:
+                ops.append(GateOp("CNOT", (0, 1) if rng.random() < 0.5 else (1, 0), (), t))
+            else:
+                kind = ["H", "S", "T", "X", "Tdg"][int(rng.integers(5))]
+                ops.append(GateOp(kind, (int(rng.integers(2)),), (), t))
+        circuit = Circuit(2, tuple(ops), (0, 1))
+        ideal = output_distribution(simulate(circuit), (0, 1))
+        correct = max(ideal, key=ideal.get)
+        exact, multi = density_matrix_pst(circuit, correct, "mirrored", [assignment],
+                                          grid, params)
+        for k, p in enumerate(grid):
+            walk = exact_success_and_multi_mass(circuit, correct, assignment, p, params)
+            assert (exact[0, k], multi[0, k]) == pytest.approx(walk, abs=1e-12), trial
+
+
+# three points below p_th = 0.0057 and three above, up to the default p_max
+DENSITY_GRID = (3e-4, 1e-3, 3e-3, 6e-3, 8e-3, 1e-2)
+
+
+@pytest.mark.parametrize("mode", ["mirrored", "full-depolarizing"])
+def test_pst_bound_against_density_matrix_oracle(default_compiled, mode):
+    """On the default compiled circuit (607 faultable gates of 920), for
+    every config of the default ladder: the bound is at most the exact PST
+    of a density-matrix run under the same fault channel, and below it by
+    at most the mass of two or more faults."""
+    cfg = RunConfig()
+    compiled, correct = default_compiled
+    profile = run_campaign(compiled, correct, mode)
+    assignments = ladder(profile, cfg.distance_configs, cfg.tau)
+    params = ErrorModelParams(cfg.prefactor, cfg.threshold)
+    exact, multi = density_matrix_pst(compiled, correct, mode, assignments,
+                                      DENSITY_GRID, params)
+    bound = np.array([[pst_bound(profile, a, p, params) for p in DENSITY_GRID]
+                      for a in assignments])
+    assert np.all(bound <= exact + 1e-10)
+    assert np.all(exact - bound <= multi + 1e-10)

@@ -7,7 +7,6 @@ import pytest
 from conftest import (
     dense_circuit_unitary,
     dense_join_every,
-    dense_join_scan,
     table_scan_rz,
     traced_peak,
 )
@@ -260,7 +259,7 @@ def test_join_matches_table_scan(rng):
                 assert got == want, (theta, eps, max_length)
 
 
-JOIN_EPSILONS = (2.0, 1.0, 0.1, 0.03, 0.015, 1e-9)
+JOIN_RADII = (2.0, 1.0, 0.1, 0.03, 0.015, 1e-9)
 
 
 def su2_quaternion(u):
@@ -287,56 +286,55 @@ def edge_target(u_prefix, u_suffix, eps):
     return u_suffix @ su2_matrix(np.cos(angle) * q + np.sin(angle) * axis)
 
 
-def test_join_matches_dense_scan_at_window_edges(rng):
-    """The pruned join returns the first hit of a dense scan on every split
-    (i, j) up to (17, 17), for an Rz target, for the word of a table pair
-    as target (its hit sits within rounding of distance 0, where the float
-    test decides), and for targets at distance exactly epsilon from a pair.
-    Each pair target comes with both signs, so that q_P.q_S < 0 for one of
-    them and only the -q_S window finds it."""
+def join_splits():
+    """Every split (i, j) of a length up to 34 into table levels, with the
+    radii to test on it: radii 2 and 1 pass nearly every pair, so they run
+    only on splits of at most 2^18 pairs; approximate_rz never joins at a
+    radius of 1 or more past length 0."""
     table = synth._TABLE
     table.ensure_length(17)
     for length in range(35):
         i = (length + 1) // 2
         j = length - i
         prefix, suffix = table.levels[i][0], table.levels[j][0]
+        radii = [r for r in JOIN_RADII if r < 1 or len(prefix) * len(suffix) <= 1 << 18]
+        yield i, j, prefix, suffix, radii
+
+
+def assert_join_matches_dense_scan(i, j, targets, radii):
+    """The join of levels i and j returns, for each target and radius, the
+    full (prefix rank, suffix rank) list of the dense scan."""
+    # the dense scan's |tr| is bitwise the same for either sign
+    wants = dense_join_every(i, j, targets[0], radii)
+    for target in targets:
+        for radius, want in zip(radii, wants):
+            p, s = synth._TABLE.join(i, j, target, radius)
+            assert np.array_equal(np.column_stack([p, s]), want), (i, j, radius)
+
+
+def test_join_matches_dense_scan_at_window_edges(rng):
+    """The join returns every pair within the radius as a dense scan finds
+    them, on every split (i, j) up to (17, 17), for the word of a table
+    pair as target (its hit sits within rounding of distance 0, where the
+    float test decides) and for targets at distance exactly the radius from
+    a pair. Each target comes with both signs, so that q_P.q_S < 0 for one
+    of them and only the -q_S window finds it."""
+    for i, j, prefix, suffix, radii in join_splits():
         a, b = int(rng.integers(len(prefix))), int(rng.integers(len(suffix)))
         word = suffix[b] @ prefix[a]
-        cases = [(rz_matrix(rng.uniform(0, 2 * np.pi)), JOIN_EPSILONS),
-                 (word, JOIN_EPSILONS), (-word, JOIN_EPSILONS)]
-        for eps in (0.1, 0.03, 0.015):
-            edge = edge_target(prefix[a], suffix[b], eps)
-            cases += [(edge, (eps,)), (-edge, (eps,))]
-        for target, epsilons in cases:
-            want = dense_join_scan(i, j, target, epsilons)
-            for eps, first in zip(epsilons, want):
-                hit, p, s = table.join(i, j, target, eps)
-                assert hit == (first is not None), (i, j, eps)
-                if hit:
-                    assert (int(p[0]), int(s[0])) == first, (i, j, eps)
+        assert_join_matches_dense_scan(i, j, (word, -word), radii)
+        for radius in (0.1, 0.03, 0.015):
+            edge = edge_target(prefix[a], suffix[b], radius)
+            assert_join_matches_dense_scan(i, j, (edge, -edge), (radius,))
 
 
 def test_join_every_matches_dense_scan(rng):
-    """With every=True the join returns every pair within epsilon, in
-    (prefix rank, suffix rank) order, as a dense scan finds them: for an Rz
-    target and for targets at distance exactly epsilon from a table pair,
-    with both signs, so that only the -q_S window holds the pair for one of
-    them."""
-    table = synth._TABLE
-    table.ensure_length(17)
-    epsilons = (0.3, 0.05, 0.012)
-    for i, j in ((2, 1), (6, 5), (11, 11), (17, 16)):
-        prefix, suffix = table.levels[i][0], table.levels[j][0]
-        a, b = int(rng.integers(len(prefix))), int(rng.integers(len(suffix)))
-        cases = [(rz_matrix(rng.uniform(0, 2 * np.pi)), epsilons)]
-        for eps in epsilons:
-            edge = edge_target(prefix[a], suffix[b], eps)
-            cases += [(edge, (eps,)), (-edge, (eps,))]
-        for target, eps_list in cases:
-            for eps, want in zip(eps_list, dense_join_every(i, j, target, eps_list)):
-                hit, p, s = table.join(i, j, target, eps, every=True)
-                assert hit == bool(len(want)), (i, j, eps)
-                assert np.array_equal(np.column_stack([p, s]), want), (i, j, eps)
+    """The join returns every pair within the radius, in (prefix rank,
+    suffix rank) order, once each, as a dense scan finds them, on every
+    split (i, j) up to (17, 17), for an Rz target at every radius."""
+    for i, j, _, _, radii in join_splits():
+        target = rz_matrix(rng.uniform(0, 2 * np.pi))
+        assert_join_matches_dense_scan(i, j, (target,), radii)
 
 
 # approximate_rz reports on the non-converged path past the lengths that

@@ -2,6 +2,12 @@
 
 Exit codes: 0 success, 1 internal failure during a computation,
 2 invalid arguments or malformed/missing input files.
+
+At module level this imports only the standard library, vdqec.errors and
+vdqec.config, whose RunConfig holds every default the parser shows. Each
+command imports the stages it runs in its own body, so --version, --help,
+argument errors and refused output paths load neither numpy nor any
+stage module.
 """
 
 from __future__ import annotations
@@ -15,39 +21,8 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
+from .config import MODES, RunConfig
 from .errors import StaleCacheError, ValidationError, VdqecError
-from .inject import MODES, profile_from_json, profile_to_json, run_campaign
-from .pipeline import (
-    RunConfig,
-    circuit_bytes,
-    config_from_json,
-    run_pipeline,
-    write_atomic,
-    _json_bytes,
-)
-from .qecc import (
-    ErrorModelParams,
-    assignment_to_json,
-    ladder,
-    log_p_grid,
-    sweep_tts,
-)
-from .qpe import QpeSpec, build_qpe
-from .render import (
-    curves_svg_bytes,
-    heatmap_csv_bytes,
-    heatmap_svg_bytes,
-    sweep_csv_bytes,
-)
-from .sim import (
-    check_bitstring,
-    circuit_digest,
-    circuit_from_json,
-    output_distribution,
-    pst,
-    simulate,
-)
-from .synth import approximate_rz, compile_circuit
 
 _THETA_RE = re.compile(r"^\s*(-?\d*\.?\d*)\s*\*?\s*pi\s*(?:/\s*(\d+\.?\d*))?\s*$")
 
@@ -85,6 +60,8 @@ def _read_circuit(path: str):
 
     Accepts both a bare circuit document and the {"circuit": ...,
     "correct_bitstring": ...} wrapper the qpe command emits."""
+    from .sim import check_bitstring, circuit_from_json
+
     doc = _read_json(path)
     if "circuit" in doc:
         circuit = circuit_from_json(doc["circuit"])
@@ -96,6 +73,9 @@ def _read_circuit(path: str):
 
 
 def _read_profile(path: str, circuit_path: str | None):
+    from .inject import profile_from_json
+    from .sim import circuit_digest
+
     profile = profile_from_json(_read_json(path))
     if circuit_path:
         circuit, _ = _read_circuit(circuit_path)
@@ -121,6 +101,8 @@ def _check_output_dirs(args) -> None:
 
 
 def _emit(data: bytes, out: str | None) -> None:
+    from .pipeline import write_atomic
+
     if out:
         write_atomic(out, data)
     else:
@@ -128,6 +110,10 @@ def _emit(data: bytes, out: str | None) -> None:
 
 
 def cmd_qpe(args) -> int:
+    from .pipeline import circuit_bytes
+    from .qpe import QpeSpec, build_qpe
+    from .synth import compile_circuit
+
     spec = QpeSpec(args.counting, args.phase_num, args.phase_den)
     circuit, correct = build_qpe(spec)
     if args.compile is not None:
@@ -137,12 +123,18 @@ def cmd_qpe(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from .pipeline import _json_bytes
+    from .synth import approximate_rz
+
     report = approximate_rz(parse_theta(args.theta), args.epsilon, args.max_length)
     _emit(_json_bytes(asdict(report)), args.output)
     return 0
 
 
 def cmd_compile(args) -> int:
+    from .pipeline import circuit_bytes
+    from .synth import compile_circuit
+
     circuit, correct = _read_circuit(args.circuit)
     compiled = compile_circuit(circuit, args.epsilon, args.max_length)
     _emit(circuit_bytes(compiled, correct), args.output)
@@ -150,6 +142,9 @@ def cmd_compile(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .pipeline import _json_bytes
+    from .sim import output_distribution, pst, simulate
+
     circuit, correct = _read_circuit(args.circuit)
     state = simulate(circuit)
     dist = output_distribution(state, circuit.measured_qubits)
@@ -163,6 +158,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_inject(args) -> int:
+    from .inject import profile_to_json, run_campaign
+    from .pipeline import _json_bytes
+
     circuit, correct = _read_circuit(args.circuit)
     bitstring = args.bitstring or correct
     if bitstring is None:
@@ -177,6 +175,9 @@ def cmd_inject(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
+    from .pipeline import write_atomic
+    from .render import heatmap_csv_bytes, heatmap_svg_bytes
+
     profile = _read_profile(args.profile, args.circuit)
     write_atomic(args.out_csv, heatmap_csv_bytes(profile))
     write_atomic(args.out_svg, heatmap_svg_bytes(profile))
@@ -184,6 +185,9 @@ def cmd_heatmap(args) -> int:
 
 
 def cmd_assign(args) -> int:
+    from .pipeline import _json_bytes
+    from .qecc import assignment_to_json, ladder
+
     profile = _read_profile(args.profile, args.circuit)
     (assignment,) = ladder(profile, [(args.d_low, args.d_high)], args.tau)
     _emit(_json_bytes(assignment_to_json(assignment)), args.output)
@@ -191,6 +195,10 @@ def cmd_assign(args) -> int:
 
 
 def cmd_tts(args) -> int:
+    from .pipeline import write_atomic
+    from .qecc import ErrorModelParams, ladder, log_p_grid, sweep_tts
+    from .render import curves_svg_bytes, sweep_csv_bytes
+
     profile = _read_profile(args.profile, args.circuit)
     params = ErrorModelParams(args.prefactor, args.threshold)
     configs = []
@@ -209,6 +217,8 @@ def cmd_tts(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    from .pipeline import config_from_json, run_pipeline
+
     if args.config:
         config = config_from_json(_read_json(args.config))
     else:

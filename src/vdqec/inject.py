@@ -61,6 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MODES
 from .errors import CampaignError, ValidationError, as_bool, as_int, as_real
 from .sim import (
     GATE_SIGNATURES,
@@ -78,7 +79,6 @@ from .sim import (
     zero_state,
 )
 
-MODES = ("mirrored", "full-depolarizing")
 
 # how far a loaded profile's derived numbers may sit from the values
 # recomputed from its records (the floats were rounded once already)

@@ -13,16 +13,15 @@ import contextlib
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 
-from .errors import ValidationError, VdqecError, as_bool, as_int, as_real
-from .inject import MODES, profile_to_json, run_campaign
+from .config import RunConfig
+from .errors import ValidationError, VdqecError
+from .inject import profile_to_json, run_campaign
 from .qecc import (
     ErrorModelParams,
     assignment_to_json,
-    check_tau,
     ladder,
-    ladder_configs,
     log_p_grid,
     sweep_tts,
 )
@@ -34,12 +33,9 @@ from .render import (
     sweep_csv_bytes,
 )
 from .sim import Circuit, circuit_to_json
-from .synth import DEFAULT_MAX_LENGTH, check_budget, compile_circuit
+from .synth import compile_circuit
 
 SCHEMA_VERSION = 1
-
-# RunConfig annotation -> type check; bools are not numbers here
-_FIELD_CHECKS = {"int": as_int, "float": as_real, "bool": as_bool}
 
 
 @contextlib.contextmanager
@@ -50,44 +46,6 @@ def _stage(name: str):
     except VdqecError as exc:
         exc.args = (f"stage {name}: {exc}",)
         raise
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    counting_qubits: int = QpeSpec.counting_qubits
-    phase_num: int = QpeSpec.phase_num
-    phase_den: int = QpeSpec.phase_den
-    synthesis_epsilon: float = 0.015
-    max_length: int = DEFAULT_MAX_LENGTH
-    injection_mode: str = "mirrored"
-    prefactor: float = ErrorModelParams.prefactor
-    threshold: float = ErrorModelParams.threshold
-    distance_configs: tuple[tuple[int, ...], ...] = (
-        (3,), (3, 5), (5,), (5, 7), (7,),
-    )
-    p_min: float = 1e-5
-    p_max: float = 1e-2
-    p_points: int = 50
-    tau: float = 0.9
-    include_resize: bool = True
-
-    def __post_init__(self):
-        """Check every field, so a bad config fails before any stage runs."""
-        for f in fields(self):
-            if f.type in _FIELD_CHECKS:
-                _FIELD_CHECKS[f.type](getattr(self, f.name), f.name)
-        if self.injection_mode not in MODES:
-            raise ValidationError(
-                f"injection_mode must be one of {MODES}"
-            )
-        object.__setattr__(
-            self, "distance_configs", ladder_configs(self.distance_configs)
-        )
-        QpeSpec(self.counting_qubits, self.phase_num, self.phase_den)
-        check_budget(self.synthesis_epsilon, self.max_length)
-        ErrorModelParams(self.prefactor, self.threshold)
-        log_p_grid(self.p_min, self.p_max, self.p_points)
-        check_tau(self.tau)
 
 
 def config_from_json(doc: dict) -> RunConfig:

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import AssignmentError, ValidationError, as_int
 from .inject import SensitivityProfile
 
@@ -48,8 +49,8 @@ INFINITE_TTS = math.inf
 
 @dataclass(frozen=True)
 class ErrorModelParams:
-    prefactor: float = 0.03
-    threshold: float = 0.0057
+    prefactor: float = RunConfig.prefactor
+    threshold: float = RunConfig.threshold
 
     def __post_init__(self):
         if not (0 < self.prefactor < math.inf and 0 < self.threshold < math.inf):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .config import RunConfig
 from .errors import ValidationError
 from .sim import MAX_QUBITS, Circuit, GateOp
 
@@ -25,9 +26,9 @@ from .sim import MAX_QUBITS, Circuit, GateOp
 class QpeSpec:
     """Benchmark parameters; the phase is the rational phase_num/phase_den."""
 
-    counting_qubits: int = 5
-    phase_num: int = 5
-    phase_den: int = 32
+    counting_qubits: int = RunConfig.counting_qubits
+    phase_num: int = RunConfig.phase_num
+    phase_den: int = RunConfig.phase_den
 
     def __post_init__(self):
         if not (1 <= self.counting_qubits <= MAX_QUBITS - 1):  # + the target

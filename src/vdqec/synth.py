@@ -68,6 +68,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import MAX_SEARCH_LENGTH, RunConfig
 from .errors import CompileError, ValidationError
 from .sim import Circuit, GateOp, gate_matrix, rz_matrix
 
@@ -76,9 +77,7 @@ KIND_OF_SYMBOL = {"X": "X", "H": "H", "S": "S", "s": "Sdg", "T": "T", "t": "Tdg"
 
 _MATS = np.stack([gate_matrix(KIND_OF_SYMBOL[c]) for c in SYMBOLS])
 
-# the join needs table levels up to ceil(34/2) = 17 (3,968 entries at level 17)
-MAX_SEARCH_LENGTH = 34
-DEFAULT_MAX_LENGTH = MAX_SEARCH_LENGTH
+DEFAULT_MAX_LENGTH = RunConfig.max_length
 
 @dataclass(frozen=True)
 class ApproxReport:

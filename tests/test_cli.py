@@ -464,8 +464,9 @@ def test_missing_output_directory_exits_2_before_any_stage(tmp_path, monkeypatch
     def never(*args, **kwargs):
         raise AssertionError("a stage ran before the output paths were checked")
 
-    for name in ("run_campaign", "_read_circuit", "_read_profile", "build_qpe"):
-        monkeypatch.setattr(f"vdqec.cli.{name}", never)
+    for target in ("vdqec.inject.run_campaign", "vdqec.cli._read_circuit",
+                   "vdqec.cli._read_profile", "vdqec.qpe.build_qpe"):
+        monkeypatch.setattr(target, never)
     (tmp_path / "dir").mkdir()
     paths = {"tmp": str(tmp_path), "missing": str(tmp_path / "no" / "such"),
              "dir": str(tmp_path / "dir")}
@@ -475,6 +476,86 @@ def test_missing_output_directory_exits_2_before_any_stage(tmp_path, monkeypatch
     assert err.startswith("error: output ") and want in err, err
     assert [p.name for p in tmp_path.iterdir()] == ["dir"]
     assert list((tmp_path / "dir").iterdir()) == []
+
+
+# runs in a fresh interpreter: the cases below, then which heavy modules loaded
+STARTUP_CHILD = """
+import contextlib, io, json, os, sys
+from vdqec.cli import main
+
+missing = os.path.join(sys.argv[1], "no", "such", "a.json")
+cases = [["--version"], ["--help"], ["tts", "--bogus"], ["assign"],
+         ["assign", "--profile", "p.json", "-o", missing]]
+codes, errors = [], []
+for argv in cases:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            codes.append(main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+    errors.append(err.getvalue())
+heavy = ["numpy", "vdqec.sim", "vdqec.synth", "vdqec.qpe", "vdqec.inject",
+         "vdqec.qecc", "vdqec.render", "vdqec.pipeline"]
+print(json.dumps({"codes": codes, "errors": errors,
+                  "loaded": [m for m in heavy if m in sys.modules]}))
+"""
+
+
+def test_light_commands_load_no_numerics(tmp_path):
+    """--version, --help, argument errors and a refused output path load
+    neither numpy nor any stage module, so a process pays at start-up only
+    for what its command runs."""
+    result = subprocess.run([sys.executable, "-c", STARTUP_CHILD, str(tmp_path)],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    doc = json.loads(result.stdout)
+    assert doc["codes"] == [0, 0, 2, 2, 2], doc["errors"]
+    assert "output directory does not exist" in doc["errors"][-1]
+    assert doc["loaded"] == []
+
+
+# every name the package root exports, by the submodule that defines it
+PACKAGE_EXPORTS = {
+    "errors": ["AssignmentError", "CampaignError", "CompileError",
+               "InvalidCircuitError", "StaleCacheError", "ValidationError",
+               "VdqecError"],
+    "sim": ["Circuit", "GateOp", "StateVector", "apply_gate", "circuit_digest",
+            "circuit_from_json", "circuit_to_json", "gate_matrix",
+            "output_distribution", "pst", "rz_matrix", "simulate", "zero_state"],
+    "synth": ["ApproxReport", "approximate_rz", "compile_circuit", "dist",
+              "sequence_unitary"],
+    "qpe": ["QpeSpec", "build_inverse_qft", "build_qpe"],
+    "inject": ["FaultSite", "SensitivityProfile", "SensitivityRecord",
+               "enumerate_sites", "profile_from_json", "profile_to_json",
+               "run_campaign"],
+    "qecc": ["CodeAssignment", "ErrorModelParams", "TtsPoint",
+             "assign_two_distance", "assignment_from_json", "assignment_to_json",
+             "distance_config", "ladder", "latency", "log_p_grid",
+             "logical_error_rate", "pst_bound", "sweep_tts", "time_to_solution",
+             "uniform_assignment"],
+    "pipeline": ["RunConfig", "run_pipeline"],
+}
+
+
+def test_package_root_resolves_every_export():
+    import importlib
+
+    import vdqec
+
+    names = sorted(n for group in PACKAGE_EXPORTS.values() for n in group)
+    assert len(names) == 52
+    for module, group in PACKAGE_EXPORTS.items():
+        defining = importlib.import_module(f"vdqec.{module}")
+        for name in group:
+            assert getattr(vdqec, name) is getattr(defining, name), name
+    assert sorted(vdqec.__all__) == names
+    assert set(names) <= set(dir(vdqec))
+    with pytest.raises(AttributeError):
+        vdqec.no_such_name
+    from vdqec import (  # noqa: F401  the README's Library block
+        build_qpe, compile_circuit, run_campaign, ladder, sweep_tts, log_p_grid,
+    )
 
 
 # one valid document per loader; the property below mutates them

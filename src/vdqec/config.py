@@ -1,11 +1,12 @@
 """The run configuration: every knob of a pipeline run and its default.
 
-This is the one home of the defaults. The command-line parser reads them
-from RunConfig, and QpeSpec, ErrorModelParams and synth's
-DEFAULT_MAX_LENGTH read theirs from it too. At import time the module
-loads only the standard library and vdqec.errors, so a command that only
-parses its arguments loads nothing numeric; RunConfig's own checks import
-the stage validators when a config is built.
+This is the one home of the defaults. The command-line parser holds none:
+each command builds its RunConfig from the config flags it was given.
+QpeSpec, ErrorModelParams and synth's DEFAULT_MAX_LENGTH read theirs from
+RunConfig too. At import time the module loads only the standard library
+and vdqec.errors, so a command that only parses its arguments loads
+nothing numeric; RunConfig's own checks import the stage validators when
+a config is built.
 """
 
 from __future__ import annotations

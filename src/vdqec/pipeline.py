@@ -1,10 +1,14 @@
-"""End-to-end pipeline: benchmark -> compile -> inject -> report.
+"""The pipeline and its commands: benchmark -> compile -> inject -> report.
 
 A RunConfig pins every knob, so a pipeline run is a pure function of its
-config; artifacts are written atomically (a .partial temp file renamed
-on success and removed on a failed write, so only an interrupted run
-leaves .partial debris) and a manifest records the digest of every
-artifact for staleness checks.
+config. The stage functions (benchmark, compile_rotations, sweep) read
+their knobs from a RunConfig, and both run_pipeline and the stage commands
+(cmd_*, which vdqec.cli dispatches to) call them, so a stage command given
+a config's flags writes the bytes the pipeline writes for that config.
+Artifacts are written atomically (a .partial temp file renamed on success
+and removed on a failed write, so only an interrupted run leaves .partial
+debris) and a manifest records the digest of every artifact for staleness
+checks.
 """
 
 from __future__ import annotations
@@ -13,13 +17,15 @@ import contextlib
 import hashlib
 import json
 import os
+import sys
 from dataclasses import asdict, fields
 
 from .config import RunConfig
-from .errors import ValidationError, VdqecError
-from .inject import profile_to_json, run_campaign
+from .errors import StaleCacheError, ValidationError, VdqecError
+from .inject import profile_from_json, profile_to_json, run_campaign
 from .qecc import (
     ErrorModelParams,
+    TtsPoint,
     assignment_to_json,
     ladder,
     log_p_grid,
@@ -32,8 +38,17 @@ from .render import (
     heatmap_svg_bytes,
     sweep_csv_bytes,
 )
-from .sim import Circuit, circuit_to_json
-from .synth import compile_circuit
+from .sim import (
+    Circuit,
+    check_bitstring,
+    circuit_digest,
+    circuit_from_json,
+    circuit_to_json,
+    output_distribution,
+    pst,
+    simulate,
+)
+from .synth import approximate_rz, compile_circuit
 
 SCHEMA_VERSION = 1
 
@@ -49,10 +64,9 @@ def _stage(name: str):
 
 
 def config_from_json(doc: dict) -> RunConfig:
-    if doc.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
-        raise ValidationError(
-            f"unsupported config schema_version {doc.get('schema_version')}"
-        )
+    version = doc.get("schema_version", SCHEMA_VERSION)
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValidationError(f"unsupported config schema_version {version!r}")
     known = {f.name for f in fields(RunConfig)}
     unknown = set(doc) - known - {"schema_version"}
     if unknown:
@@ -65,6 +79,73 @@ def config_to_json(config: RunConfig) -> dict:
     doc["distance_configs"] = [list(cfg) for cfg in config.distance_configs]
     doc["schema_version"] = SCHEMA_VERSION
     return doc
+
+
+# -- stages --------------------------------------------------------------
+
+
+def benchmark(config: RunConfig) -> tuple[Circuit, str]:
+    """The QPE benchmark circuit and its correct bitstring."""
+    return build_qpe(
+        QpeSpec(config.counting_qubits, config.phase_num, config.phase_den)
+    )
+
+
+def compile_rotations(circuit: Circuit, config: RunConfig) -> Circuit:
+    """circuit over Clifford+T+CNOT at the config's synthesis budget."""
+    return compile_circuit(circuit, config.synthesis_epsilon, config.max_length)
+
+
+def sweep(profile, assignments, config: RunConfig) -> list[TtsPoint]:
+    """Every assignment's TTS points over the config's error-rate grid."""
+    grid = log_p_grid(config.p_min, config.p_max, config.p_points)
+    params = ErrorModelParams(config.prefactor, config.threshold)
+    return sweep_tts(profile, assignments, grid, params, config.include_resize)
+
+
+# -- reading and writing -------------------------------------------------
+
+
+def _read_json(path: str) -> dict:
+    if not os.path.exists(path):
+        raise ValidationError(f"missing input file: {path}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ValidationError(f"{path} nests JSON too deeply to read") from None
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path} must hold a JSON object")
+    return doc
+
+
+def _read_circuit(path: str):
+    """Load a circuit file; returns (circuit, correct_bitstring or None).
+
+    Accepts both a bare circuit document and the {"circuit": ...,
+    "correct_bitstring": ...} wrapper the qpe command emits."""
+    doc = _read_json(path)
+    if "circuit" in doc:
+        circuit = circuit_from_json(doc["circuit"])
+        correct = doc.get("correct_bitstring")
+        if correct is not None:
+            check_bitstring(correct, len(circuit.measured_qubits))
+        return circuit, correct
+    return circuit_from_json(doc), None
+
+
+def _read_profile(path: str, circuit_path: str | None):
+    profile = profile_from_json(_read_json(path))
+    if circuit_path:
+        circuit, _ = _read_circuit(circuit_path)
+        if circuit_digest(circuit) != profile.circuit_digest:
+            raise StaleCacheError(
+                f"profile {path} was computed for a different circuit than "
+                f"{circuit_path}; refusing stale cache"
+            )
+    return profile
 
 
 def _json_bytes(doc: dict) -> bytes:
@@ -94,8 +175,18 @@ def write_atomic(path: str, data: bytes) -> None:
         raise
 
 
+def _emit(data: bytes, out: str | None) -> None:
+    if out:
+        write_atomic(out, data)
+    else:
+        sys.stdout.write(data.decode())
+
+
 def _label_filename(label: str) -> str:
     return "assignment_" + label.replace("=", "").replace(",", "_") + ".json"
+
+
+# -- the pipeline --------------------------------------------------------
 
 
 def run_pipeline(config: RunConfig, out_dir: str) -> dict:
@@ -106,14 +197,11 @@ def run_pipeline(config: RunConfig, out_dir: str) -> dict:
     artifacts: dict[str, bytes] = {}
 
     with _stage("benchmark"):
-        spec = QpeSpec(config.counting_qubits, config.phase_num, config.phase_den)
-        circuit, correct = build_qpe(spec)
+        circuit, correct = benchmark(config)
         artifacts["circuit.json"] = circuit_bytes(circuit, correct)
 
     with _stage("compile"):
-        compiled = compile_circuit(
-            circuit, config.synthesis_epsilon, config.max_length
-        )
+        compiled = compile_rotations(circuit, config)
         artifacts["compiled.json"] = circuit_bytes(compiled, correct)
 
     with _stage("inject"):
@@ -125,7 +213,6 @@ def run_pipeline(config: RunConfig, out_dir: str) -> dict:
         artifacts["heatmap.svg"] = heatmap_svg_bytes(profile)
 
     with _stage("assign"):
-        params = ErrorModelParams(config.prefactor, config.threshold)
         assignments = ladder(profile, config.distance_configs, config.tau)
         for assignment in assignments:
             artifacts[_label_filename(assignment.label)] = _json_bytes(
@@ -133,10 +220,7 @@ def run_pipeline(config: RunConfig, out_dir: str) -> dict:
             )
 
     with _stage("tts"):
-        grid = log_p_grid(config.p_min, config.p_max, config.p_points)
-        points = sweep_tts(
-            profile, assignments, grid, params, config.include_resize
-        )
+        points = sweep(profile, assignments, config)
         artifacts["sweep.csv"] = sweep_csv_bytes(points)
         artifacts["curves.svg"] = curves_svg_bytes(points)
 
@@ -154,3 +238,75 @@ def run_pipeline(config: RunConfig, out_dir: str) -> dict:
     }
     write_atomic(os.path.join(out_dir, "manifest.json"), _json_bytes(manifest))
     return manifest
+
+
+# -- the commands: each takes the parsed arguments and the RunConfig of
+# the config flags given, and raises on failure --------------------------
+
+
+def cmd_qpe(args, config: RunConfig) -> None:
+    circuit, correct = benchmark(config)
+    if "synthesis_epsilon" in vars(args):  # --compile EPS
+        circuit = compile_rotations(circuit, config)
+    _emit(circuit_bytes(circuit, correct), args.output)
+
+
+def cmd_synth(args, config: RunConfig) -> None:
+    report = approximate_rz(args.theta, config.synthesis_epsilon, config.max_length)
+    _emit(_json_bytes(asdict(report)), args.output)
+
+
+def cmd_compile(args, config: RunConfig) -> None:
+    circuit, correct = _read_circuit(args.circuit)
+    _emit(circuit_bytes(compile_rotations(circuit, config), correct), args.output)
+
+
+def cmd_simulate(args, config: RunConfig) -> None:
+    circuit, correct = _read_circuit(args.circuit)
+    state = simulate(circuit)
+    dist = output_distribution(state, circuit.measured_qubits)
+    doc = {"distribution": dist}
+    bitstring = args.bitstring or correct
+    if bitstring is not None:
+        doc["pst"] = pst(dist, bitstring)
+        doc["correct_bitstring"] = bitstring
+    _emit(_json_bytes(doc), args.output)
+
+
+def cmd_inject(args, config: RunConfig) -> None:
+    circuit, correct = _read_circuit(args.circuit)
+    bitstring = args.bitstring or correct
+    if bitstring is None:
+        raise ValidationError(
+            "no correct bitstring: pass --bitstring or use a circuit file "
+            "that carries one"
+        )
+    profile = run_campaign(circuit, bitstring, config.injection_mode)
+    _emit(_json_bytes(profile_to_json(profile)), args.output)
+
+
+def cmd_heatmap(args, config: RunConfig) -> None:
+    profile = _read_profile(args.profile, args.circuit)
+    write_atomic(args.out_csv, heatmap_csv_bytes(profile))
+    write_atomic(args.out_svg, heatmap_svg_bytes(profile))
+
+
+def cmd_assign(args, config: RunConfig) -> None:
+    profile = _read_profile(args.profile, args.circuit)
+    (assignment,) = ladder(profile, [(args.d_low, args.d_high)], config.tau)
+    _emit(_json_bytes(assignment_to_json(assignment)), args.output)
+
+
+def cmd_tts(args, config: RunConfig) -> None:
+    profile = _read_profile(args.profile, args.circuit)
+    assignments = ladder(profile, config.distance_configs, config.tau)
+    points = sweep(profile, assignments, config)
+    write_atomic(args.out_csv, sweep_csv_bytes(points))
+    if args.out_svg:
+        write_atomic(args.out_svg, curves_svg_bytes(points))
+
+
+def cmd_pipeline(args, config: RunConfig) -> None:
+    if args.config:
+        config = config_from_json(_read_json(args.config))
+    run_pipeline(config, args.out_dir)

@@ -20,11 +20,14 @@ a true lower bound for the depolarizing-style error model.
 
 A sweep evaluates the bound for one assignment over a whole grid of p as
 (points x gates) blocks. Each faultable gate's patch distances are read
-once. The scalar rate function fills one row per distinct distance, and
-each distinct distance tuple gets one q column, multiplied out in qubit
-order as the one-point formula does. The gathered q_g block is C-ordered,
-so the products run along each row and np.sum(axis=1) adds a row's terms
-in the order np.sum adds one point's: every bound is bitwise equal to the
+once. For each block of points the scalar rate function fills a survive
+block: one 1 - rate column per distinct distance, plus one column of rate
+0. Each gate then takes one gather from it, q_g = 1 - survive[first
+patch] * survive[second patch], where a one-qubit gate's second patch is
+the rate-0 column. As x * 1.0 = x exactly, that is the one-point
+formula's product in qubit order. The q_g block is C-ordered, so the
+products run along each row and np.sum(axis=1) adds a row's terms in the
+order np.sum adds one point's: every bound is bitwise equal to the
 one-point pst_bound. A block holds at most BLOCK_CELLS cells, so memory
 stays bounded for any grid.
 
@@ -262,9 +265,12 @@ def _pst_bounds(
         tuple(assignment.distance_at(q, g.timestep) for q in g.qubits)
         for g in faultable
     ]
-    columns = {t: i for i, t in enumerate(dict.fromkeys(patches))}
-    gather = np.array([columns[t] for t in patches])
-    distances = sorted({d for t in columns for d in t})
+    distances = sorted({d for t in patches for d in t})
+    column = {d: i for i, d in enumerate(distances)}
+    # a one-qubit gate's second patch is the extra column, of rate 0
+    first = np.array([column[t[0]] for t in patches])
+    second = np.array([column[t[1]] if len(t) == 2 else len(distances)
+                       for t in patches])
     mean_noisy = np.array(
         [g.mean_relative_pst * profile.pst_ideal for g in faultable]
     )
@@ -272,19 +278,16 @@ def _pst_bounds(
     out = np.empty(len(grid))
     for start in range(0, len(grid), rows):
         ps = grid[start : start + rows]
-        rate = {
-            d: np.array([logical_error_rate(p, d, params) for p in ps])
-            for d in distances
-        }
-        q = np.empty((len(ps), len(columns)))
-        for t, i in columns.items():
-            ok = 1.0
-            for d in t:
-                ok = ok * (1.0 - rate[d])
-            q[:, i] = 1.0 - ok
-        # take() returns a C-ordered block, where q[:, gather] would not, so
+        survive = 1.0 - np.array(
+            [[logical_error_rate(p, d, params) for d in distances] + [0.0]
+             for p in ps]
+        )
+        # q_g = 1 - survive[first] * survive[second], in place. take()
+        # returns C-ordered blocks, where survive[:, first] would not, so
         # np.sum(axis=1) adds each row in the order it adds one point's
-        q_g = q.take(gather, axis=1)
+        q_g = survive.take(first, axis=1)
+        q_g *= survive.take(second, axis=1)
+        np.subtract(1.0, q_g, out=q_g)
         ok = 1.0 - q_g
         # prod over gates != i, robust to q_g == 1
         ones = np.ones((len(ps), 1))

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vdqec.cli import main, parse_theta
+from vdqec.cli import _config, build_parser, main, parse_theta
 from vdqec.errors import ValidationError
 from vdqec.inject import profile_from_json
 from vdqec.pipeline import (
@@ -279,21 +280,33 @@ def test_pipeline_rejects_unknown_config_keys(tmp_path, capsys):
 
 
 def test_tts_and_assign_reproduce_the_pipeline_ladder(tmp_path):
+    """The stage commands, given the config's flags and each other's
+    outputs, write the pipeline's artifacts byte for byte."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(
         {"synthesis_epsilon": 0.12, "max_length": 25, "p_points": 25}
     ))
     out = tmp_path / "run"
     assert run("pipeline", "--config", str(cfg), "--out-dir", str(out)) == 0
-    prof = str(out / "profile.json")
     mine = tmp_path / "mine"
     mine.mkdir()
+    circ, compiled, prof = (str(mine / n) for n in
+                            ("circuit.json", "compiled.json", "profile.json"))
+    assert run("qpe", "-o", circ) == 0
+    assert run("compile", "--circuit", circ, "--epsilon", "0.12",
+               "--max-length", "25", "-o", compiled) == 0
+    assert run("inject", "--circuit", compiled, "-o", prof) == 0
+    assert run(
+        "heatmap", "--profile", prof, "--circuit", compiled,
+        "--out-csv", str(mine / "heatmap.csv"), "--out-svg", str(mine / "heatmap.svg"),
+    ) == 0
     assert run(
         "tts", "--profile", prof, "--p-points", "25",
         "--out-csv", str(mine / "sweep.csv"), "--out-svg", str(mine / "curves.svg"),
     ) == 0
     assert run("assign", "--profile", prof, "-o", str(mine / "assignment_d3_5.json")) == 0
-    for name in ("sweep.csv", "curves.svg", "assignment_d3_5.json"):
+    for name in ("circuit.json", "compiled.json", "profile.json", "heatmap.csv",
+                 "heatmap.svg", "sweep.csv", "curves.svg", "assignment_d3_5.json"):
         assert (mine / name).read_bytes() == (out / name).read_bytes(), name
 
 
@@ -414,6 +427,10 @@ NESTED = '{"a":' * 100_000 + "1" + "}" * 100_000
     (NESTED, ["pipeline", "--config", "{in}", "--out-dir", "{out}"]),
     (NESTED, ["simulate", "--circuit", "{in}"]),
     (NESTED, ["assign", "--profile", "{in}"]),
+    ({**QUICK_CONFIG, "schema_version": True},
+     ["pipeline", "--config", "{in}", "--out-dir", "{out}"]),
+    ({**QUICK_CONFIG, "schema_version": 1.0},
+     ["pipeline", "--config", "{in}", "--out-dir", "{out}"]),
 ], ids=["config-list", "config-str-int", "timestep-str", "rz-nan", "shared-cell",
         "missing-dir", "theta-nan", "qubit-float", "num-qubits-float",
         "faultable-str", "timestep-inf", "profile-timestep-inf", "record-index-float",
@@ -426,7 +443,8 @@ NESTED = '{"a":' * 100_000 + "1" + "}" * 100_000
         "pipeline-distance-2**53", "tts-17-configs", "pipeline-17-configs",
         "timestep-past-float", "profile-timestep-past-float", "tts-tau-7-uniform",
         "tts-tau-nan-uniform", "pipeline-no-configs", "profile-timestep-decreasing",
-        "config-nested", "circuit-nested", "profile-nested"])
+        "config-nested", "circuit-nested", "profile-nested", "config-version-true",
+        "config-version-float"])
 def test_malformed_input_exits_2_without_traceback(tmp_path, doc, argv):
     paths = {"in": str(tmp_path / "in.json"), "out": str(tmp_path / "out")}
     if doc is not None:
@@ -464,8 +482,8 @@ def test_missing_output_directory_exits_2_before_any_stage(tmp_path, monkeypatch
     def never(*args, **kwargs):
         raise AssertionError("a stage ran before the output paths were checked")
 
-    for target in ("vdqec.inject.run_campaign", "vdqec.cli._read_circuit",
-                   "vdqec.cli._read_profile", "vdqec.qpe.build_qpe"):
+    for target in ("vdqec.pipeline.run_campaign", "vdqec.pipeline._read_circuit",
+                   "vdqec.pipeline._read_profile", "vdqec.pipeline.build_qpe"):
         monkeypatch.setattr(target, never)
     (tmp_path / "dir").mkdir()
     paths = {"tmp": str(tmp_path), "missing": str(tmp_path / "no" / "such"),
@@ -694,6 +712,77 @@ def test_help_lists_each_commands_flags(command, capsys):
     options = capsys.readouterr().out.split("options:", 1)[1]
     flags = set(re.findall(r"(?:^|\s)(--?[a-z][-a-z]*)", options)) - {"-h", "--help"}
     assert flags == set(HELP_FLAGS[command].split())
+
+
+# the required arguments of each command; only synth's and compile's
+# --epsilon among them sets a config field
+REQUIRED_ARGV = {
+    "qpe": [],
+    "synth": ["--theta", "1", "--epsilon", "0.25"],
+    "compile": ["--circuit", "c.json", "--epsilon", "0.25"],
+    "simulate": ["--circuit", "c.json"],
+    "inject": ["--circuit", "c.json"],
+    "heatmap": ["--profile", "p.json", "--out-csv", "h.csv", "--out-svg", "h.svg"],
+    "assign": ["--profile", "p.json"],
+    "tts": ["--profile", "p.json", "--out-csv", "s.csv"],
+    "pipeline": ["--out-dir", "run"],
+}
+# each flag that sets a RunConfig field: the field, arguments that differ
+# from its default, and the value they set
+CONFIG_FLAGS = {
+    "--counting": ("counting_qubits", ["3"], 3),
+    "--phase-num": ("phase_num", ["3"], 3),
+    "--phase-den": ("phase_den", ["8"], 8),
+    "--max-length": ("max_length", ["20"], 20),
+    "--compile": ("synthesis_epsilon", ["0.2"], 0.2),
+    "--epsilon": ("synthesis_epsilon", ["0.2"], 0.2),
+    "--mode": ("injection_mode", ["full-depolarizing"], "full-depolarizing"),
+    "--tau": ("tau", ["0.5"], 0.5),
+    "--configs": ("distance_configs", ["3", "5,7"], ((3,), (5, 7))),
+    "--p-min": ("p_min", ["1e-4"], 1e-4),
+    "--p-max": ("p_max", ["5e-3"], 5e-3),
+    "--p-points": ("p_points", ["20"], 20),
+    "--prefactor": ("prefactor", ["0.1"], 0.1),
+    "--threshold": ("threshold", ["0.01"], 0.01),
+    "--no-resize": ("include_resize", [], False),
+}
+# arguments for each flag that sets no config field
+OTHER_FLAGS = {
+    "-o": ["x.json"], "--output": ["x.json"], "--theta": ["2"],
+    "--circuit": ["d.json"], "--bitstring": ["0"], "--profile": ["q.json"],
+    "--out-csv": ["x.csv"], "--out-svg": ["x.svg"], "--d-low": ["5"],
+    "--d-high": ["7"], "--config": ["cfg.json"], "--out-dir": ["out"],
+}
+
+
+def _parsed_config(argv):
+    return _config(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("command", list(HELP_FLAGS))
+def test_each_config_flag_sets_its_own_field(command):
+    """A command given no config flag runs RunConfig(); each config flag
+    it lists sets its own field and no other, and every other flag sets
+    none."""
+    required = [command, *REQUIRED_ARGV[command]]
+    base = _parsed_config(required)
+    given = {"synthesis_epsilon": 0.25} if "--epsilon" in required else {}
+    assert base == RunConfig(**given)
+    for flag in HELP_FLAGS[command].split():
+        if flag in OTHER_FLAGS:
+            assert _parsed_config([*required, flag, *OTHER_FLAGS[flag]]) == base, flag
+            continue
+        name, values, value = CONFIG_FLAGS[flag]
+        assert getattr(base, name) != value, flag
+        config = _parsed_config([*required, flag, *values])
+        assert config == dataclasses.replace(base, **{name: value}), flag
+
+
+def test_inject_mode_full_is_refused(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run("inject", "--circuit", "c.json", "--mode", "full")
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'full'" in capsys.readouterr().err
 
 
 def test_synth_output_is_locked(capsys):

@@ -4,6 +4,9 @@ cost modeling for small Clifford+T circuits.
 The public names below resolve on first use: `import vdqec` loads no
 submodule and no numpy, and `vdqec.build_qpe` (or `from vdqec import
 build_qpe`) imports vdqec.qpe, and what it imports, when it is first read.
+The circuit and profile classes and their documents come from the
+numpy-free vdqec.circuits and vdqec.profiles; vdqec.sim and vdqec.inject
+re-export them.
 """
 
 import importlib
@@ -18,9 +21,12 @@ _EXPORTS = {
         "VdqecError",
     ], "errors"),
     **dict.fromkeys([
-        "Circuit", "GateOp", "StateVector", "apply_gate", "circuit_digest",
-        "circuit_from_json", "circuit_to_json", "gate_matrix",
-        "output_distribution", "pst", "rz_matrix", "simulate", "zero_state",
+        "Circuit", "GateOp", "circuit_digest", "circuit_from_json",
+        "circuit_to_json",
+    ], "circuits"),
+    **dict.fromkeys([
+        "StateVector", "apply_gate", "gate_matrix", "output_distribution",
+        "pst", "rz_matrix", "simulate", "zero_state",
     ], "sim"),
     **dict.fromkeys([
         "ApproxReport", "approximate_rz", "compile_circuit", "dist",
@@ -29,9 +35,9 @@ _EXPORTS = {
     **dict.fromkeys(["QpeSpec", "build_inverse_qft", "build_qpe"], "qpe"),
     **dict.fromkeys([
         "FaultSite", "SensitivityProfile", "SensitivityRecord",
-        "enumerate_sites", "profile_from_json", "profile_to_json",
-        "run_campaign",
-    ], "inject"),
+        "profile_from_json", "profile_to_json",
+    ], "profiles"),
+    **dict.fromkeys(["enumerate_sites", "run_campaign"], "inject"),
     **dict.fromkeys([
         "CodeAssignment", "ErrorModelParams", "TtsPoint",
         "assign_two_distance", "assignment_from_json", "assignment_to_json",

@@ -3,14 +3,17 @@
 This is the one home of the defaults. The command-line parser holds none:
 each command builds its RunConfig from the config flags it was given.
 QpeSpec, ErrorModelParams and synth's DEFAULT_MAX_LENGTH read theirs from
-RunConfig too. At import time the module loads only the standard library
-and vdqec.errors, so a command that only parses its arguments loads
-nothing numeric; RunConfig's own checks import the stage validators when
-a config is built.
+RunConfig too. The module is numpy-free: at import time it loads only the
+standard library and vdqec.errors, so a command that only parses its
+arguments loads nothing numeric. RunConfig's own checks import the
+validators of qpe and qecc when a config is built, and those modules load
+no numpy at import either; check_budget, synthesis's budget check, lives
+here.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ValidationError, as_bool, as_int, as_real
@@ -20,6 +23,18 @@ MODES = ("mirrored", "full-depolarizing")
 # synthesis's hard length cap: the join needs table levels up to
 # ceil(34/2) = 17 (3,968 entries at level 17)
 MAX_SEARCH_LENGTH = 34
+
+
+def check_budget(epsilon: float, max_length: int) -> None:
+    """Raise ValidationError unless epsilon is finite and positive and
+    max_length is in [1, MAX_SEARCH_LENGTH]."""
+    if not 0 < epsilon < math.inf:
+        raise ValidationError(f"epsilon must be finite and positive, got {epsilon}")
+    if not 1 <= max_length <= MAX_SEARCH_LENGTH:
+        raise ValidationError(
+            f"max_length must be in [1, {MAX_SEARCH_LENGTH}], got {max_length}"
+        )
+
 
 # RunConfig annotation -> type check; bools are not numbers here
 _FIELD_CHECKS = {"int": as_int, "float": as_real, "bool": as_bool}
@@ -46,9 +61,8 @@ class RunConfig:
 
     def __post_init__(self):
         """Check every field, so a bad config fails before any stage runs."""
-        from .qecc import ErrorModelParams, check_tau, ladder_configs, log_p_grid
+        from .qecc import ErrorModelParams, check_grid, check_tau, ladder_configs
         from .qpe import QpeSpec
-        from .synth import check_budget
 
         for f in fields(self):
             if f.type in _FIELD_CHECKS:
@@ -63,5 +77,5 @@ class RunConfig:
         QpeSpec(self.counting_qubits, self.phase_num, self.phase_den)
         check_budget(self.synthesis_epsilon, self.max_length)
         ErrorModelParams(self.prefactor, self.threshold)
-        log_p_grid(self.p_min, self.p_max, self.p_points)
+        check_grid(self.p_min, self.p_max, self.p_points)
         check_tau(self.tau)

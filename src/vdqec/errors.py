@@ -1,7 +1,9 @@
 """Exception hierarchy, plus the strict field checks the loaders share.
 
 ValidationError (and subclasses) map to CLI exit code 2; everything else
-that goes wrong inside a computation maps to exit code 1.
+that goes wrong inside a computation maps to exit code 1. A campaign that
+cannot score its circuit (no gates, or a noiseless run that never reads
+the correct bitstring) is bad input, so CampaignError is a ValidationError.
 """
 
 
@@ -21,7 +23,7 @@ class CompileError(VdqecError):
     """A rotation could not be approximated within the requested budget."""
 
 
-class CampaignError(VdqecError):
+class CampaignError(ValidationError):
     """Fault-injection campaign cannot produce a meaningful profile."""
 
 

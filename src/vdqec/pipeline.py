@@ -5,6 +5,13 @@ config. The stage functions (benchmark, compile_rotations, sweep) read
 their knobs from a RunConfig, and both run_pipeline and the stage commands
 (cmd_*, which vdqec.cli dispatches to) call them, so a stage command given
 a config's flags writes the bytes the pipeline writes for that config.
+Each command loads only the modules it calls. The data layer (circuits,
+profiles), the cost model (qecc), the renderers and qpe load no numpy at
+import; synth, inject and sim, the modules that compute on arrays, are
+imported inside the stage functions and commands that run them. So assign,
+heatmap and qpe without --compile load no numpy, tts loads it for the
+sweep but not the simulator, synthesis or campaign, and the pipeline loads
+every stage.
 Artifacts are written atomically (a .partial temp file renamed on success
 and removed on a failed write, so only an interrupted run leaves .partial
 debris) and a manifest records the digest of every artifact for staleness
@@ -20,9 +27,16 @@ import os
 import sys
 from dataclasses import asdict, fields
 
+from .circuits import (
+    Circuit,
+    check_bitstring,
+    circuit_digest,
+    circuit_from_json,
+    circuit_to_json,
+)
 from .config import RunConfig
 from .errors import StaleCacheError, ValidationError, VdqecError
-from .inject import profile_from_json, profile_to_json, run_campaign
+from .profiles import profile_from_json, profile_to_json
 from .qecc import (
     ErrorModelParams,
     TtsPoint,
@@ -38,17 +52,6 @@ from .render import (
     heatmap_svg_bytes,
     sweep_csv_bytes,
 )
-from .sim import (
-    Circuit,
-    check_bitstring,
-    circuit_digest,
-    circuit_from_json,
-    circuit_to_json,
-    output_distribution,
-    pst,
-    simulate,
-)
-from .synth import approximate_rz, compile_circuit
 
 SCHEMA_VERSION = 1
 
@@ -93,6 +96,8 @@ def benchmark(config: RunConfig) -> tuple[Circuit, str]:
 
 def compile_rotations(circuit: Circuit, config: RunConfig) -> Circuit:
     """circuit over Clifford+T+CNOT at the config's synthesis budget."""
+    from .synth import compile_circuit
+
     return compile_circuit(circuit, config.synthesis_epsilon, config.max_length)
 
 
@@ -193,6 +198,8 @@ def run_pipeline(config: RunConfig, out_dir: str) -> dict:
     """Run every stage and write all artifacts into out_dir.
 
     Returns the manifest (also written as manifest.json)."""
+    from .inject import run_campaign
+
     os.makedirs(out_dir, exist_ok=True)
     artifacts: dict[str, bytes] = {}
 
@@ -252,6 +259,8 @@ def cmd_qpe(args, config: RunConfig) -> None:
 
 
 def cmd_synth(args, config: RunConfig) -> None:
+    from .synth import approximate_rz
+
     report = approximate_rz(args.theta, config.synthesis_epsilon, config.max_length)
     _emit(_json_bytes(asdict(report)), args.output)
 
@@ -262,6 +271,8 @@ def cmd_compile(args, config: RunConfig) -> None:
 
 
 def cmd_simulate(args, config: RunConfig) -> None:
+    from .sim import output_distribution, pst, simulate
+
     circuit, correct = _read_circuit(args.circuit)
     state = simulate(circuit)
     dist = output_distribution(state, circuit.measured_qubits)
@@ -274,6 +285,8 @@ def cmd_simulate(args, config: RunConfig) -> None:
 
 
 def cmd_inject(args, config: RunConfig) -> None:
+    from .inject import run_campaign
+
     circuit, correct = _read_circuit(args.circuit)
     bitstring = args.bitstring or correct
     if bitstring is None:

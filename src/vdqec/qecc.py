@@ -34,6 +34,11 @@ stays bounded for any grid.
 Every power is Python's float power: the rate's (p / threshold)^((d+1)/2)
 and each point 10^x of log_p_grid. numpy's vectorised power rounds by SIMD
 level, so the bytes of a sweep would depend on the host.
+
+Only the sweep's two array functions, _pst_bounds and log_p_grid, use
+numpy, and each imports it when called: the module loads no numpy at
+import, so code assignment (vdqec assign) and the checks RunConfig calls,
+check_grid among them, run without it.
 """
 
 from __future__ import annotations
@@ -41,11 +46,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .config import RunConfig
 from .errors import AssignmentError, ValidationError, as_int
-from .inject import SensitivityProfile
+from .profiles import SensitivityProfile
 
 INFINITE_TTS = math.inf
 
@@ -252,9 +255,11 @@ def _pst_bounds(
     assignment: CodeAssignment,
     p_grid,
     params: ErrorModelParams,
-) -> np.ndarray:
-    """pst_bound at every p of the grid, in blocks of at most BLOCK_CELLS
-    cells (see the module docstring)."""
+):
+    """pst_bound at every p of the grid, as an array, in blocks of at most
+    BLOCK_CELLS cells (see the module docstring)."""
+    import numpy as np
+
     if assignment.num_qubits != profile.num_qubits:
         raise AssignmentError("assignment does not match the profile's register")
     grid = [float(p) for p in p_grid]
@@ -341,13 +346,22 @@ class TtsPoint:
 MAX_GRID_POINTS = 10_000
 
 
-def log_p_grid(p_min: float, p_max: float, points: int) -> np.ndarray:
+def check_grid(p_min: float, p_max: float, points: int) -> None:
+    """Raise ValidationError unless log_p_grid accepts these arguments."""
     if not (0.0 < p_min < p_max < 1.0):
         raise ValidationError("need 0 < p_min < p_max < 1")
     if not 2 <= points <= MAX_GRID_POINTS:
         raise ValidationError(
             f"grid needs 2 to {MAX_GRID_POINTS} points, got {points}"
         )
+
+
+def log_p_grid(p_min: float, p_max: float, points: int):
+    """points error rates from p_min to p_max, evenly spaced in log10, as
+    an array; the ends are p_min and p_max exactly."""
+    import numpy as np
+
+    check_grid(p_min, p_max, points)
     exponents = np.linspace(math.log10(p_min), math.log10(p_max), points)
     grid = np.array([10.0 ** x for x in exponents.tolist()])
     # 10**log10(p) can miss p by an ulp; the ends are the bounds asked for
@@ -358,7 +372,7 @@ def log_p_grid(p_min: float, p_max: float, points: int) -> np.ndarray:
 def sweep_tts(
     profile: SensitivityProfile,
     assignments: list[CodeAssignment],
-    p_grid: np.ndarray,
+    p_grid,
     params: ErrorModelParams = DEFAULT_PARAMS,
     include_resize: bool = True,
 ) -> list[TtsPoint]:

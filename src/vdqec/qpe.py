@@ -17,9 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .circuits import MAX_QUBITS, Circuit, GateOp
 from .config import RunConfig
 from .errors import ValidationError
-from .sim import MAX_QUBITS, Circuit, GateOp
 
 
 @dataclass(frozen=True)

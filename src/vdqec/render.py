@@ -19,7 +19,7 @@ import csv
 import io
 import math
 
-from .inject import SensitivityProfile
+from .profiles import SensitivityProfile
 from .qecc import TtsPoint
 
 _PALETTE = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b"]

@@ -1,5 +1,10 @@
 """Exact statevector simulation of small gate circuits.
 
+This is the numpy side of circuits: the gate matrices and every amplitude.
+The circuit model (GATE_SIGNATURES, GateOp, Circuit, check_bitstring and
+the circuit document) is numpy-free and lives in vdqec.circuits; this
+module re-exports it, and gate_matrix builds each kind of its table.
+
 Conventions:
   * qubit 0 is the least significant bit of a basis-state index;
   * Rz(theta) is the phase rotation diag(1, e^{i theta}), so S = Rz(pi/2)
@@ -25,14 +30,22 @@ Conventions:
 
 from __future__ import annotations
 
-import hashlib
-import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidCircuitError, ValidationError, as_bool, as_int, as_real
+from .circuits import (  # noqa: F401  the circuit model, re-exported
+    GATE_SIGNATURES,
+    MAX_QUBITS,
+    MAX_TIMESTEP,
+    Circuit,
+    GateOp,
+    check_bitstring,
+    circuit_digest,
+    circuit_from_json,
+    circuit_to_json,
+)
+from .errors import InvalidCircuitError, ValidationError
 
 SQRT2 = np.sqrt(2.0)
 
@@ -46,31 +59,23 @@ def controlled_phase_matrix(theta: float) -> np.ndarray:
     return np.diag([1.0, 1.0, 1.0, np.exp(1j * float(theta))]).astype(complex)
 
 
-# kind -> (arity, number of parameters, matrix); the matrix of a gate with
-# parameters is the function that builds it from them
-_GATES = {
-    "X": (1, 0, np.array([[0, 1], [1, 0]], dtype=complex)),
-    "Y": (1, 0, np.array([[0, -1j], [1j, 0]], dtype=complex)),
-    "Z": (1, 0, np.diag([1.0, -1.0]).astype(complex)),
-    "H": (1, 0, np.array([[1, 1], [1, -1]], dtype=complex) / SQRT2),
-    "S": (1, 0, np.diag([1.0, 1j]).astype(complex)),
-    "Sdg": (1, 0, np.diag([1.0, -1j]).astype(complex)),
-    "T": (1, 0, np.diag([1.0, np.exp(1j * np.pi / 4)]).astype(complex)),
-    "Tdg": (1, 0, np.diag([1.0, np.exp(-1j * np.pi / 4)]).astype(complex)),
-    "Rz": (1, 1, rz_matrix),
-    "ControlledPhase": (2, 1, controlled_phase_matrix),
-    "CNOT": (2, 0, np.array(
+# kind -> matrix, for every kind of GATE_SIGNATURES; the matrix of a gate
+# with parameters is the function that builds it from them
+_MATRICES = {
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.diag([1.0, -1.0]).astype(complex),
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) / SQRT2,
+    "S": np.diag([1.0, 1j]).astype(complex),
+    "Sdg": np.diag([1.0, -1j]).astype(complex),
+    "T": np.diag([1.0, np.exp(1j * np.pi / 4)]).astype(complex),
+    "Tdg": np.diag([1.0, np.exp(-1j * np.pi / 4)]).astype(complex),
+    "Rz": rz_matrix,
+    "ControlledPhase": controlled_phase_matrix,
+    "CNOT": np.array(
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-    )),
+    ),
 }
-
-GATE_SIGNATURES = {kind: gate[:2] for kind, gate in _GATES.items()}
-
-MAX_QUBITS = 12
-
-# timesteps stay below 2**53, where every one is a float and the heatmap's
-# coordinates are finite
-MAX_TIMESTEP = 2**53
 
 # outcomes with at most this probability are left out of a distribution
 MIN_PROB = 1e-15
@@ -78,95 +83,10 @@ MIN_PROB = 1e-15
 
 def gate_matrix(kind: str, params: tuple[float, ...] = ()) -> np.ndarray:
     """Dense matrix (2x2 or 4x4) for a gate kind."""
-    if kind not in _GATES:
+    if kind not in _MATRICES:
         raise InvalidCircuitError(f"unknown gate kind {kind!r}")
-    _, nparams, mat = _GATES[kind]
-    return mat(*params) if nparams else mat
-
-
-@dataclass(frozen=True)
-class GateOp:
-    """One gate application at a discrete timestep.
-
-    faultable marks whether the fault injector may place a Pauli error
-    after this gate; state preparation gates are typically not faultable.
-    """
-
-    kind: str
-    qubits: tuple[int, ...]
-    params: tuple[float, ...] = ()
-    timestep: int = 0
-    faultable: bool = True
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "qubits", tuple(as_int(q, "qubit") for q in self.qubits)
-        )
-        object.__setattr__(
-            self, "params", tuple(as_real(p, "parameter") for p in self.params)
-        )
-        if not 0 <= as_int(self.timestep, "timestep") < MAX_TIMESTEP:
-            raise InvalidCircuitError(
-                f"timestep must be in [0, 2**53), got {self.timestep}"
-            )
-        as_bool(self.faultable, "faultable")
-        if self.kind not in GATE_SIGNATURES:
-            raise InvalidCircuitError(f"unknown gate kind {self.kind!r}")
-        arity, nparams = GATE_SIGNATURES[self.kind]
-        if len(self.qubits) != arity:
-            raise InvalidCircuitError(
-                f"{self.kind} expects {arity} qubit(s), got {self.qubits}"
-            )
-        if len(set(self.qubits)) != len(self.qubits):
-            raise InvalidCircuitError(f"{self.kind} on repeated qubit {self.qubits}")
-        if len(self.params) != nparams:
-            raise InvalidCircuitError(
-                f"{self.kind} expects {nparams} parameter(s), got {self.params}"
-            )
-        if not all(math.isfinite(p) for p in self.params):
-            raise InvalidCircuitError(
-                f"{self.kind} parameters must be finite, got {self.params}"
-            )
-
-
-@dataclass(frozen=True)
-class Circuit:
-    """An ordered gate list on num_qubits qubits plus a measurement spec.
-
-    measured_qubits are read out most significant bit first: the output
-    bitstring character i is the value of measured_qubits[i].
-    """
-
-    num_qubits: int
-    ops: tuple[GateOp, ...]
-    measured_qubits: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "ops", tuple(self.ops))
-        object.__setattr__(
-            self, "measured_qubits",
-            tuple(as_int(q, "measured qubit") for q in self.measured_qubits),
-        )
-        n = as_int(self.num_qubits, "num_qubits")
-        if not (1 <= n <= MAX_QUBITS):
-            raise InvalidCircuitError(
-                f"num_qubits must be in [1, {MAX_QUBITS}], got {n}"
-            )
-        prev_t = None
-        for op in self.ops:
-            if any(not (0 <= q < n) for q in op.qubits):
-                raise InvalidCircuitError(
-                    f"{op.kind} touches qubit outside [0, {n}): {op.qubits}"
-                )
-            if prev_t is not None and op.timestep < prev_t:
-                raise InvalidCircuitError("timesteps must be nondecreasing")
-            prev_t = op.timestep
-        if not self.measured_qubits:
-            raise InvalidCircuitError("measured_qubits must be nonempty")
-        if len(set(self.measured_qubits)) != len(self.measured_qubits):
-            raise InvalidCircuitError("measured_qubits must be distinct")
-        if any(not (0 <= q < n) for q in self.measured_qubits):
-            raise InvalidCircuitError("measured qubit outside register")
+    mat = _MATRICES[kind]
+    return mat(*params) if GATE_SIGNATURES[kind][1] else mat
 
 
 @dataclass(frozen=True)
@@ -331,61 +251,9 @@ def output_distribution(
     return {format(k, f"0{len(mq)}b"): m for k, m in enumerate(masses) if m}
 
 
-def check_bitstring(bits, width: int) -> None:
-    """Raise ValidationError unless bits is a str of width 0/1 characters."""
-    if not isinstance(bits, str) or len(bits) != width or set(bits) - {"0", "1"}:
-        raise ValidationError(
-            f"bitstring {bits!r} does not match outcome width {width}"
-        )
-
-
 def pst(distribution: dict[str, float], correct_bitstring: str) -> float:
     """Probability of successful trial: mass on the correct outcome."""
     if not distribution:
         raise ValidationError("empty distribution")
     check_bitstring(correct_bitstring, len(next(iter(distribution))))
     return float(distribution.get(correct_bitstring, 0.0))
-
-
-def circuit_to_json(circuit: Circuit) -> dict:
-    return {
-        "num_qubits": circuit.num_qubits,
-        "ops": [
-            {
-                "kind": op.kind,
-                "params": list(op.params),
-                "qubits": list(op.qubits),
-                "timestep": op.timestep,
-                "faultable": op.faultable,
-            }
-            for op in circuit.ops
-        ],
-        "measured_qubits": list(circuit.measured_qubits),
-    }
-
-
-def circuit_from_json(doc: dict) -> Circuit:
-    try:
-        ops = tuple(
-            GateOp(
-                kind=o["kind"],
-                qubits=tuple(o["qubits"]),
-                params=tuple(o.get("params") or ()),
-                timestep=o.get("timestep", i),
-                faultable=o.get("faultable", True),
-            )
-            for i, o in enumerate(doc["ops"])
-        )
-        return Circuit(
-            num_qubits=doc["num_qubits"],
-            ops=ops,
-            measured_qubits=tuple(doc["measured_qubits"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed circuit document: {exc}") from exc
-
-
-def circuit_digest(circuit: Circuit) -> str:
-    """Stable sha256 over the canonical JSON form."""
-    blob = json.dumps(circuit_to_json(circuit), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()

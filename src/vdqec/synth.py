@@ -68,9 +68,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import MAX_SEARCH_LENGTH, RunConfig
+from .circuits import Circuit, GateOp
+from .config import MAX_SEARCH_LENGTH, RunConfig, check_budget  # noqa: F401
 from .errors import CompileError, ValidationError
-from .sim import Circuit, GateOp, gate_matrix, rz_matrix
+from .sim import gate_matrix, rz_matrix
 
 SYMBOLS = "XHSsTt"
 KIND_OF_SYMBOL = {"X": "X", "H": "H", "S": "S", "s": "Sdg", "T": "T", "t": "Tdg"}
@@ -256,17 +257,6 @@ _SLACK = 1e-12
 # sorted suffix keys scored per block, and at most this many pairs a block
 _BLOCK = 128
 _CELLS = 1 << 15
-
-
-def check_budget(epsilon: float, max_length: int) -> None:
-    """Raise ValidationError unless epsilon is finite and positive and
-    max_length is in [1, MAX_SEARCH_LENGTH]."""
-    if not 0 < epsilon < math.inf:
-        raise ValidationError(f"epsilon must be finite and positive, got {epsilon}")
-    if not 1 <= max_length <= MAX_SEARCH_LENGTH:
-        raise ValidationError(
-            f"max_length must be in [1, {MAX_SEARCH_LENGTH}], got {max_length}"
-        )
 
 
 def approximate_rz(

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from vdqec.cli import _config, build_parser, main, parse_theta
 from vdqec.errors import ValidationError
-from vdqec.inject import profile_from_json
+from vdqec.inject import profile_from_json, profile_to_json, run_campaign
 from vdqec.pipeline import (
     RunConfig,
     circuit_bytes,
@@ -482,7 +482,7 @@ def test_missing_output_directory_exits_2_before_any_stage(tmp_path, monkeypatch
     def never(*args, **kwargs):
         raise AssertionError("a stage ran before the output paths were checked")
 
-    for target in ("vdqec.pipeline.run_campaign", "vdqec.pipeline._read_circuit",
+    for target in ("vdqec.inject.run_campaign", "vdqec.pipeline._read_circuit",
                    "vdqec.pipeline._read_profile", "vdqec.pipeline.build_qpe"):
         monkeypatch.setattr(target, never)
     (tmp_path / "dir").mkdir()
@@ -496,41 +496,64 @@ def test_missing_output_directory_exits_2_before_any_stage(tmp_path, monkeypatch
     assert list((tmp_path / "dir").iterdir()) == []
 
 
-# runs in a fresh interpreter: the cases below, then which heavy modules loaded
+# runs in a fresh interpreter: each case of the JSON list in argv[1] through
+# main, then which heavy modules are loaded after it
 STARTUP_CHILD = """
-import contextlib, io, json, os, sys
+import contextlib, io, json, sys
 from vdqec.cli import main
 
-missing = os.path.join(sys.argv[1], "no", "such", "a.json")
-cases = [["--version"], ["--help"], ["tts", "--bogus"], ["assign"],
-         ["assign", "--profile", "p.json", "-o", missing]]
-codes, errors = [], []
-for argv in cases:
+heavy = ["numpy", "vdqec.sim", "vdqec.synth", "vdqec.qpe", "vdqec.inject",
+         "vdqec.qecc", "vdqec.render", "vdqec.pipeline"]
+out = []
+for argv in json.loads(sys.argv[1]):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
-            codes.append(main(argv))
+            code = main(argv)
         except SystemExit as exc:
-            codes.append(exc.code)
-    errors.append(err.getvalue())
-heavy = ["numpy", "vdqec.sim", "vdqec.synth", "vdqec.qpe", "vdqec.inject",
-         "vdqec.qecc", "vdqec.render", "vdqec.pipeline"]
-print(json.dumps({"codes": codes, "errors": errors,
-                  "loaded": [m for m in heavy if m in sys.modules]}))
+            code = exc.code
+    out.append({"code": code, "error": err.getvalue(),
+                "loaded": [m for m in heavy if m in sys.modules]})
+print(json.dumps(out))
 """
 
 
 def test_light_commands_load_no_numerics(tmp_path):
     """--version, --help, argument errors and a refused output path load
     neither numpy nor any stage module, so a process pays at start-up only
-    for what its command runs."""
-    result = subprocess.run([sys.executable, "-c", STARTUP_CHILD, str(tmp_path)],
+    for what its command runs. Of the real runs, qpe without --compile,
+    assign and heatmap load no numpy, and tts loads it for the sweep, but
+    none of them loads the simulator, synthesis or the campaign."""
+    circuit, correct = build_qpe(QpeSpec(3, 1, 8))
+    (tmp_path / "c.json").write_bytes(circuit_bytes(circuit, correct))
+    profile = run_campaign(circuit, correct)
+    (tmp_path / "p.json").write_text(json.dumps(profile_to_json(profile)))
+    paths = {"tmp": str(tmp_path), "missing": str(tmp_path / "no" / "such" / "a.json")}
+    light = [["--version"], ["--help"], ["tts", "--bogus"], ["assign"],
+             ["assign", "--profile", "p.json", "-o", "{missing}"]]
+    runs = [
+        ["qpe", "-o", "{tmp}/q.json"],
+        ["assign", "--profile", "{tmp}/p.json", "--circuit", "{tmp}/c.json",
+         "-o", "{tmp}/a.json"],
+        ["heatmap", "--profile", "{tmp}/p.json", "--out-csv", "{tmp}/h.csv",
+         "--out-svg", "{tmp}/h.svg"],
+        ["tts", "--profile", "{tmp}/p.json", "--circuit", "{tmp}/c.json",
+         "--out-csv", "{tmp}/s.csv", "--out-svg", "{tmp}/s.svg"],
+    ]
+    cases = [[a.format_map(paths) for a in argv] for argv in light + runs]
+    result = subprocess.run([sys.executable, "-c", STARTUP_CHILD, json.dumps(cases)],
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     doc = json.loads(result.stdout)
-    assert doc["codes"] == [0, 0, 2, 2, 2], doc["errors"]
-    assert "output directory does not exist" in doc["errors"][-1]
-    assert doc["loaded"] == []
+    assert [c["code"] for c in doc] == [0, 0, 2, 2, 2, 0, 0, 0, 0], doc
+    assert "output directory does not exist" in doc[4]["error"]
+    assert [c["loaded"] for c in doc[:5]] == [[]] * 5
+    numerics = {"numpy", "vdqec.sim", "vdqec.synth", "vdqec.inject"}
+    for case in doc[5:8]:
+        assert numerics.isdisjoint(case["loaded"]), case
+    assert "numpy" in doc[8]["loaded"]
+    assert numerics.isdisjoint(set(doc[8]["loaded"]) - {"numpy"}), doc[8]
+    assert (tmp_path / "h.svg").exists() and (tmp_path / "s.svg").exists()
 
 
 # every name the package root exports, by the submodule that defines it
@@ -807,6 +830,19 @@ def test_huge_synthesis_epsilon_is_capped(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**QUICK_CONFIG, "synthesis_epsilon": 1e300, "phase_num": 0}))
     assert run("pipeline", "--config", str(config), "--out-dir", str(tmp_path / "out")) == 0
+
+
+@pytest.mark.parametrize("epsilon", [1e300, 1.0])
+def test_pipeline_with_zero_ideal_pst_exits_2(tmp_path, capsys, epsilon):
+    """At epsilon >= 1 every rotation compiles to the empty sequence, and
+    the default phase is then never read: a noiseless run that never reads
+    the correct bitstring is bad input, refused with exit 2."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**QUICK_CONFIG, "synthesis_epsilon": epsilon}))
+    code = run("pipeline", "--config", str(config), "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert "stage inject: noiseless PST is zero" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_profile_timestep_stays_below_2_pow_53():

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -483,6 +484,14 @@ def _noisy_above_one(doc):
     doc["records"][0][2:4] = [1.5, 1.5 / doc["pst_ideal"]]
 
 
+def _records_past_float_range(doc):
+    """relative PSTs whose sum overflows, as only a pst_ideal far below
+    any campaign's gives"""
+    doc["pst_ideal"] = 1e-308
+    for rec in doc["records"]:
+        rec[2:4] = [0.9, 0.9 / 1e-308]
+
+
 def _swap_first_records(doc):
     records = doc["records"]
     records[0], records[1] = records[1], records[0]
@@ -515,6 +524,7 @@ INCONSISTENT = {
     "summary-mean": _set(["gates", 2, 5], lambda v: v + 1e-9),
     "summary-min": _set(["gates", 2, 6], lambda v: v - 1e-9),
     "summary-count": _set(["gates", 2, 7], 4),
+    "summary-sum-overflows": _records_past_float_range,
 }
 
 
@@ -538,3 +548,53 @@ def test_profile_summaries_tolerate_rounding():
     _set(["gates", 2, 5], lambda v: v + 1e-13)(doc)
     _set(["records", 0, 3], lambda v: v - 1e-13)(doc)
     profile_from_json(doc)
+
+
+def _fsum_mean_differs(profile):
+    """The gates whose stored mean (np.mean, as the campaign takes it) is
+    not the correctly rounded fsum mean the loader takes, with their
+    record counts."""
+    by_gate = {}
+    for rec in profile.records:
+        by_gate.setdefault(rec.site.gate_index, []).append(rec.relative_pst)
+    return {i: len(v) for i, v in by_gate.items()
+            if math.fsum(v) / len(v) != profile.gates[i].mean_relative_pst}
+
+
+def test_loader_accepts_full_depolarizing_campaign_means(tmp_path, capsys):
+    """The loader's fsum mean can differ from the campaign's np.mean in the
+    last bit; every profile the campaign writes still loads and assigns."""
+    circuit, correct = build_qpe(QpeSpec(3, 1, 8))
+    compiled = compile_circuit(circuit, 0.1)
+    profile = run_campaign(compiled, correct, "full-depolarizing")
+    assert 15 in _fsum_mean_differs(profile).values()
+    doc = json.loads(json.dumps(profile_to_json(profile)))
+    assert profile_from_json(doc) == profile
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    assert main(["assign", "--profile", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["label"] == "d=3,5"
+
+
+def test_loader_scales_tolerance_with_relative_pst():
+    """A noiseless PST near 3e-5 puts relative PSTs near 9,000, where one
+    ulp of a gate's mean exceeds 1e-12: the summary check scales its
+    tolerance with the mean, so the campaign's profile still loads, and a
+    mean off by 1e-9 of its size is still refused."""
+    theta = math.pi - 10 ** -1.5
+    ops = (GateOp("H", (0,), (), 0), GateOp("H", (1,), (), 0),
+           GateOp("Rz", (0,), (theta,), 1), GateOp("Rz", (1,), (0.7,), 1),
+           GateOp("H", (0,), (), 2), GateOp("H", (1,), (), 2),
+           GateOp("CNOT", (0, 1), (), 3), GateOp("T", (0,), (), 4),
+           GateOp("S", (1,), (), 4))
+    profile = run_campaign(Circuit(2, ops, (0, 1)), "01", "full-depolarizing")
+    assert profile.pst_ideal < 1e-4
+    gate = profile.gates[6]
+    assert gate.mean_relative_pst > 1000
+    sums = [r.relative_pst for r in profile.records if r.site.gate_index == 6]
+    assert abs(math.fsum(sums) / len(sums) - gate.mean_relative_pst) > 1e-12
+    doc = profile_to_json(profile)
+    assert profile_from_json(doc) == profile
+    doc["gates"][6][5] *= 1 + 1e-9
+    with pytest.raises(ValidationError, match="summary of gate 6"):
+        profile_from_json(doc)

@@ -5,6 +5,11 @@ how it is checked, written and hashed, but no amplitude: vdqec.sim owns the
 gate matrices and the statevector arithmetic, and re-exports every name
 here. Loading a circuit file, building the QPE benchmark or comparing a
 profile's circuit digest therefore loads no numpy.
+
+check_gate (a gate's kind, arity, distinct qubits and timestep) and
+check_layout (the register size, each gate's qubit range and the timestep
+order) are the gate rules: GateOp and Circuit apply them, and so does the
+profile loader to a profile's gate summaries.
 """
 
 from __future__ import annotations
@@ -60,20 +65,9 @@ class GateOp:
         object.__setattr__(
             self, "params", tuple(as_real(p, "parameter") for p in self.params)
         )
-        if not 0 <= as_int(self.timestep, "timestep") < MAX_TIMESTEP:
-            raise InvalidCircuitError(
-                f"timestep must be in [0, 2**53), got {self.timestep}"
-            )
+        check_gate(self.kind, self.qubits, as_int(self.timestep, "timestep"))
         as_bool(self.faultable, "faultable")
-        if self.kind not in GATE_SIGNATURES:
-            raise InvalidCircuitError(f"unknown gate kind {self.kind!r}")
-        arity, nparams = GATE_SIGNATURES[self.kind]
-        if len(self.qubits) != arity:
-            raise InvalidCircuitError(
-                f"{self.kind} expects {arity} qubit(s), got {self.qubits}"
-            )
-        if len(set(self.qubits)) != len(self.qubits):
-            raise InvalidCircuitError(f"{self.kind} on repeated qubit {self.qubits}")
+        nparams = GATE_SIGNATURES[self.kind][1]
         if len(self.params) != nparams:
             raise InvalidCircuitError(
                 f"{self.kind} expects {nparams} parameter(s), got {self.params}"
@@ -103,25 +97,47 @@ class Circuit:
             tuple(as_int(q, "measured qubit") for q in self.measured_qubits),
         )
         n = as_int(self.num_qubits, "num_qubits")
-        if not (1 <= n <= MAX_QUBITS):
-            raise InvalidCircuitError(
-                f"num_qubits must be in [1, {MAX_QUBITS}], got {n}"
-            )
-        prev_t = None
-        for op in self.ops:
-            if any(not (0 <= q < n) for q in op.qubits):
-                raise InvalidCircuitError(
-                    f"{op.kind} touches qubit outside [0, {n}): {op.qubits}"
-                )
-            if prev_t is not None and op.timestep < prev_t:
-                raise InvalidCircuitError("timesteps must be nondecreasing")
-            prev_t = op.timestep
+        check_layout(n, self.ops)
         if not self.measured_qubits:
             raise InvalidCircuitError("measured_qubits must be nonempty")
         if len(set(self.measured_qubits)) != len(self.measured_qubits):
             raise InvalidCircuitError("measured_qubits must be distinct")
         if any(not (0 <= q < n) for q in self.measured_qubits):
             raise InvalidCircuitError("measured qubit outside register")
+
+
+def check_gate(kind: str, qubits: tuple[int, ...], timestep: int) -> None:
+    """Raise InvalidCircuitError unless `kind` is a gate kind acting on
+    len(qubits) distinct qubits and timestep is in [0, MAX_TIMESTEP)."""
+    if not 0 <= timestep < MAX_TIMESTEP:
+        raise InvalidCircuitError(f"timestep must be in [0, 2**53), got {timestep}")
+    if kind not in GATE_SIGNATURES:
+        raise InvalidCircuitError(f"unknown gate kind {kind!r}")
+    arity = GATE_SIGNATURES[kind][0]
+    if len(qubits) != arity:
+        raise InvalidCircuitError(f"{kind} expects {arity} qubit(s), got {qubits}")
+    if len(set(qubits)) != len(qubits):
+        raise InvalidCircuitError(f"{kind} on repeated qubit {qubits}")
+
+
+def check_layout(num_qubits: int, gates) -> None:
+    """Raise InvalidCircuitError unless num_qubits is in [1, MAX_QUBITS],
+    every gate of `gates`, anything with .kind, .qubits and .timestep such
+    as circuit.ops or profile.gates, acts on qubits in [0, num_qubits), and
+    their timesteps never decrease."""
+    if not 1 <= num_qubits <= MAX_QUBITS:
+        raise InvalidCircuitError(
+            f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits}"
+        )
+    prev_t = 0
+    for g in gates:
+        if any(not 0 <= q < num_qubits for q in g.qubits):
+            raise InvalidCircuitError(
+                f"{g.kind} touches qubit outside [0, {num_qubits}): {g.qubits}"
+            )
+        if g.timestep < prev_t:
+            raise InvalidCircuitError("timesteps must be nondecreasing")
+        prev_t = g.timestep
 
 
 def check_bitstring(bits, width: int) -> None:

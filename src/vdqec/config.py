@@ -1,14 +1,17 @@
 """The run configuration: every knob of a pipeline run and its default.
 
-This is the one home of the defaults. The command-line parser holds none:
-each command builds its RunConfig from the config flags it was given.
-QpeSpec, ErrorModelParams and synth's DEFAULT_MAX_LENGTH read theirs from
-RunConfig too. The module is numpy-free: at import time it loads only the
-standard library and vdqec.errors, so a command that only parses its
-arguments loads nothing numeric. RunConfig's own checks import the
-validators of qpe and qecc when a config is built, and those modules load
-no numpy at import either; check_budget, synthesis's budget check, lives
-here.
+This is the one home of the knobs' defaults. A config flag has no default
+of its own: each command builds its RunConfig from the config flags it
+was given. QpeSpec, ErrorModelParams, synth's DEFAULT_MAX_LENGTH, the
+campaign mode of enumerate_sites and run_campaign, tau of
+assign_two_distance and include_resize of latency and sweep_tts read
+theirs from RunConfig too. The module is numpy-free: at import time it
+loads only the standard library and vdqec.errors, so a command that only
+parses its arguments loads nothing numeric. RunConfig's own checks import
+the validators of qpe and qecc when a config is built, and those modules
+load no numpy at import either; check_budget, synthesis's budget check,
+lives here and checks its arguments' types as RunConfig checks the
+fields.
 """
 
 from __future__ import annotations
@@ -26,11 +29,13 @@ MAX_SEARCH_LENGTH = 34
 
 
 def check_budget(epsilon: float, max_length: int) -> None:
-    """Raise ValidationError unless epsilon is finite and positive and
-    max_length is in [1, MAX_SEARCH_LENGTH]."""
-    if not 0 < epsilon < math.inf:
+    """Raise ValidationError unless epsilon is a finite, positive real
+    number and max_length an integer in [1, MAX_SEARCH_LENGTH], checked as
+    RunConfig checks its fields: bools, strings and floats for max_length
+    are refused, not coerced."""
+    if not 0 < as_real(epsilon, "epsilon") < math.inf:
         raise ValidationError(f"epsilon must be finite and positive, got {epsilon}")
-    if not 1 <= max_length <= MAX_SEARCH_LENGTH:
+    if not 1 <= as_int(max_length, "max_length") <= MAX_SEARCH_LENGTH:
         raise ValidationError(
             f"max_length must be in [1, {MAX_SEARCH_LENGTH}], got {max_length}"
         )

@@ -41,20 +41,21 @@ BLAS kernel nor its numpy SIMD level, and a replayed row comes out
 bitwise equal to a replay of its site alone, whatever the chunk size.
 sim's readout, the one output_distribution uses, scores the noiseless
 run, every replayed site and the adjoint sweep's overlaps; this module
-computes no |amp|^2 of its own. This module enumerates the sites,
-chooses the sweep and builds the records and the profile. The cached
-states hold G * 2^n amplitudes for G gates, which MAX_CACHED_AMPS
-bounds.
+computes no |amp|^2 of its own. This module enumerates the sites and
+chooses the sweep; vdqec.profiles.build_profile turns the sweep's PSTs
+into the records and gate summaries, by the rules the profile loader
+checks a saved profile with. The cached states hold G * 2^n amplitudes
+for G gates, which MAX_CACHED_AMPS bounds.
 The campaign aggregates records into spatio-temporal cells keyed by
 (qubit, timestep): the mean relative PST over every error type at the
 gates touching that cell. Cells of non-faultable gates report 1.0 with
 zero records. A cell holds one gate, so gate lists that put two gates on
 one qubit at one timestep are rejected.
 
-The profile model (the site, record, summary and profile classes and the
-profile document) is numpy-free and lives in vdqec.profiles, which a
-command that only reads a profile loads instead of this module; this
-module re-exports it.
+The profile model (the site, record, summary and profile classes, the
+fault-site rule, build_profile and the profile document) is numpy-free
+and lives in vdqec.profiles, which a command that only reads a profile
+loads instead of this module; this module re-exports it.
 """
 
 from __future__ import annotations
@@ -64,18 +65,18 @@ import itertools
 
 import numpy as np
 
-from .circuits import Circuit, check_bitstring, circuit_digest
-from .config import MODES
+# circuit_digest and MODES stay importable from this module
+from .circuits import Circuit, check_bitstring, circuit_digest  # noqa: F401
+from .config import MODES, RunConfig  # noqa: F401
 from .errors import CampaignError, ValidationError
 from .profiles import (  # noqa: F401  the profile documents, re-exported
-    _NO_RECORDS,
     FaultSite,
     GateSummary,
     SensitivityProfile,
     SensitivityRecord,
-    _by_gate,
     _check_distinct_cells,
     _sites,
+    build_profile,
     profile_from_json,
     profile_to_json,
 )
@@ -109,11 +110,11 @@ _BLOCK_AMPS = 8192
 MAX_CACHED_AMPS = 2**26
 
 
-def enumerate_sites(circuit: Circuit, mode: str = "mirrored") -> list[FaultSite]:
+def enumerate_sites(
+    circuit: Circuit, mode: str = RunConfig.injection_mode
+) -> list[FaultSite]:
     """Every fault site of the circuit, ordered by gate index then by a
-    fixed Pauli order."""
-    if mode not in MODES:
-        raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
+    fixed Pauli order; raises ValidationError for an unknown mode."""
     return _sites(circuit.ops, mode)
 
 
@@ -191,25 +192,19 @@ def _adjoint_psts(circuit: Circuit, prefixes, sites, rows) -> list[float]:
     return [m for gate_masses in reversed(masses) for m in gate_masses]
 
 
-def _gate_stats(records) -> dict[int, tuple[float, float, int]]:
-    """gate index -> (mean, min, count) of the relative PST of its records."""
-    return {
-        i: (float(np.mean(v)), float(np.min(v)), len(v))
-        for i, v in _by_gate(records).items()
-    }
-
-
 def run_campaign(
     circuit: Circuit,
     correct_bitstring: str,
-    mode: str = "mirrored",
+    mode: str = RunConfig.injection_mode,
 ) -> SensitivityProfile:
     """Simulate every fault site exactly and aggregate the results.
 
     The sites of enumerate_sites are scored by the adjoint sweep or by
     the block replay, whichever needs fewer row-gate products (see
-    the module docstring). Raises ValidationError, before simulating,
-    when the cached states would exceed MAX_CACHED_AMPS amplitudes.
+    the module docstring), and vdqec.profiles.build_profile builds the
+    records and gate summaries from their PSTs. Raises ValidationError,
+    before simulating, for an unknown mode or when the cached states would
+    exceed MAX_CACHED_AMPS amplitudes.
     """
     if not circuit.ops:
         raise CampaignError("circuit has no gates to inject into")
@@ -219,6 +214,7 @@ def run_campaign(
                               f"campaign's limit of {MAX_CACHED_AMPS} cached amplitudes")
     _check_distinct_cells(circuit.ops)
     check_bitstring(correct_bitstring, len(circuit.measured_qubits))
+    sites = enumerate_sites(circuit, mode)
     rows = _outcome_rows(n, circuit.measured_qubits)[int(correct_bitstring, 2)]
     prefixes = []
     amps = zero_state(n).amplitudes
@@ -231,30 +227,10 @@ def run_campaign(
             "noiseless PST is zero; relative sensitivity is undefined"
         )
 
-    sites = enumerate_sites(circuit, mode)
     # row-gate products: the backward sweep walks R rows through every
     # gate and takes R overlaps per site; the replay walks each site's
     # row through the gates after its own
     replayed = sum(len(circuit.ops) - 1 - s.gate_index for s in sites)
     adjoint = len(rows) * (len(circuit.ops) + len(sites)) <= replayed
     noisy = (_adjoint_psts if adjoint else _replay_psts)(circuit, prefixes, sites, rows)
-
-    records = tuple(
-        SensitivityRecord(site, p_noisy, p_noisy / pst_ideal)
-        for site, p_noisy in zip(sites, noisy)
-    )
-
-    stats = _gate_stats(records)
-    gates = tuple(
-        GateSummary(i, op.kind, op.qubits, op.timestep, op.faultable,
-                    *stats.get(i, _NO_RECORDS))
-        for i, op in enumerate(circuit.ops)
-    )
-    return SensitivityProfile(
-        circuit_digest=circuit_digest(circuit),
-        num_qubits=n,
-        mode=mode,
-        pst_ideal=pst_ideal,
-        records=records,
-        gates=gates,
-    )
+    return build_profile(circuit, mode, pst_ideal, sites, noisy)

@@ -8,11 +8,15 @@ model, the renderers and the commands that start from a saved profile
 
 A profile's records are its fault sites in campaign order (_sites), and
 each gate summary is the mean, minimum and count of the relative PST of
-its gate's records. The loader recomputes both from the records and
-refuses a document whose fields disagree. The campaign takes each mean
-with numpy (float(np.mean(v)), whose rounding the locked artifacts fix);
-the loader takes it with math.fsum, which can differ in the last bit, so
-a stored mean is checked to within _TOL of its size.
+its gate's records (_gate_stats). This module is the one place that
+derives them: run_campaign returns build_profile's profile, and the
+loader recomputes both from a document's records by the same rules and
+refuses a document whose fields disagree by more than _TOL of their size.
+The mean (_mean) adds a gate's values in numpy's pairwise order, so the
+artifacts keep the bytes float(np.mean(v)) gave them, without numpy. The
+loader checks each gate summary's kind, qubits and timestep, and the
+gates' qubit range and order, by the circuit model's rules
+(vdqec.circuits.check_gate and check_layout).
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .circuits import GATE_SIGNATURES, MAX_QUBITS, MAX_TIMESTEP
+from .circuits import check_gate, check_layout, circuit_digest
 from .config import MODES
 from .errors import ValidationError, as_bool, as_int, as_real
 
@@ -104,7 +108,10 @@ def _check_distinct_cells(gates) -> None:
 def _sites(gates, mode: str) -> list[FaultSite]:
     """The fault sites of `gates`, anything with .qubits and .faultable,
     such as circuit.ops or profile.gates, in campaign order: by gate index,
-    then by the Pauli order of `paulis`."""
+    then by the Pauli order of `paulis`. Raises ValidationError unless mode
+    is one of MODES."""
+    if mode not in MODES:
+        raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
 
     def paulis(k):
         if mode == "mirrored":
@@ -115,12 +122,48 @@ def _sites(gates, mode: str) -> list[FaultSite]:
             for ps in paulis(len(op.qubits))]
 
 
-def _by_gate(records) -> dict[int, list[float]]:
-    """gate index -> the relative PST of its records, in record order."""
+def _mean(values) -> float:
+    """The mean of `values`, summed in numpy's float64 order, so it is
+    float(np.mean(values)) bitwise for up to 128 values: fewer than eight
+    in order; otherwise eight lanes, lane j summing values j, j + 8, ... up
+    to the last multiple of eight, joined as a pairwise tree, and then the
+    rest in order. A gate's 3 values add in order, its 15 as a tree over
+    the first eight and then the other seven."""
+    cut, total = len(values) // 8 * 8, 0.0
+    if cut:
+        r = list(values[:8])
+        for i in range(8, cut):
+            r[i % 8] += values[i]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for v in values[cut:]:
+        total += v
+    return total / len(values)
+
+
+def _gate_stats(records) -> dict[int, tuple[float, float, int]]:
+    """gate index -> (mean, min, count) of the relative PST of its records,
+    for each gate with records; the others report _NO_RECORDS."""
     by_gate: dict[int, list[float]] = {}
     for rec in records:
         by_gate.setdefault(rec.site.gate_index, []).append(rec.relative_pst)
-    return by_gate
+    return {i: (_mean(v), min(v), len(v)) for i, v in by_gate.items()}
+
+
+def build_profile(circuit, mode: str, pst_ideal: float, sites, noisy) -> SensitivityProfile:
+    """The profile of a campaign on `circuit` whose noiseless run reads the
+    correct bitstring with probability pst_ideal: one record per site of
+    `sites`, scored by its PST noisy[k] and its relative PST
+    noisy[k] / pst_ideal, and one summary per gate of its records."""
+    records = tuple(SensitivityRecord(site, p, p / pst_ideal)
+                    for site, p in zip(sites, noisy))
+    stats = _gate_stats(records)
+    gates = tuple(
+        GateSummary(i, op.kind, op.qubits, op.timestep, op.faultable,
+                    *stats.get(i, _NO_RECORDS))
+        for i, op in enumerate(circuit.ops)
+    )
+    return SensitivityProfile(circuit_digest(circuit), circuit.num_qubits, mode,
+                              pst_ideal, records, gates)
 
 
 def profile_to_json(profile: SensitivityProfile) -> dict:
@@ -168,7 +211,6 @@ def profile_from_json(doc: dict) -> SensitivityProfile:
             )
             for gi, kind, qubits, ts, f, mean, mn, nr in doc["gates"]
         )
-        _check_distinct_cells(gates)
         profile = SensitivityProfile(
             circuit_digest=doc["circuit_digest"],
             num_qubits=as_int(doc["num_qubits"], "num_qubits"),
@@ -179,9 +221,7 @@ def profile_from_json(doc: dict) -> SensitivityProfile:
         )
         _check_consistent(profile)
         return profile
-    # OverflowError: records whose sum passes 1e308 (fsum refuses to round
-    # it), which only a pst_ideal far below any campaign's can give
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed profile document: {exc}") from exc
 
 
@@ -196,27 +236,18 @@ def _check_consistent(profile: SensitivityProfile) -> None:
         tol = _TOL * max(1.0, abs(b))
         return abs(a - b) <= tol < math.inf  # False for NaN and for b = inf
 
-    n, gates = profile.num_qubits, profile.gates
-    if profile.mode not in MODES:
-        bad(f"mode must be one of {MODES}, got {profile.mode!r}")
+    gates = profile.gates
     if not (isinstance(profile.circuit_digest, str)
             and re.fullmatch("[0-9a-f]{64}", profile.circuit_digest)):
         bad(f"circuit_digest must be 64 hex characters, got {profile.circuit_digest!r}")
-    if not 1 <= n <= MAX_QUBITS:
-        bad(f"num_qubits must be in [1, {MAX_QUBITS}], got {n}")
     if not 0 < profile.pst_ideal <= 1 + _TOL:
         bad(f"pst_ideal must be in (0, 1], got {profile.pst_ideal}")
     for i, g in enumerate(gates):
         if g.gate_index != i:
             bad(f"gate {i} has gate index {g.gate_index}")
-        if GATE_SIGNATURES.get(g.kind, (None,))[0] != len(g.qubits):
-            bad(f"gate {i}: {g.kind!r} on {len(g.qubits)} qubit(s)")
-        if any(not 0 <= q < n for q in g.qubits):
-            bad(f"gate {i} touches a qubit outside [0, {n}): {g.qubits}")
-        if not 0 <= g.timestep < MAX_TIMESTEP:
-            bad(f"gate {i} has timestep {g.timestep} outside [0, 2**53)")
-        if i and g.timestep < gates[i - 1].timestep:
-            bad(f"gate {i} has timestep {g.timestep}, before gate {i - 1}'s")
+        check_gate(g.kind, g.qubits, g.timestep)
+    check_layout(profile.num_qubits, gates)
+    _check_distinct_cells(gates)
     sites = _sites(gates, profile.mode)
     if [rec.site for rec in profile.records] != sites:
         bad(f"the records are not the {len(sites)} {profile.mode} fault sites "
@@ -226,8 +257,7 @@ def _check_consistent(profile: SensitivityProfile) -> None:
             bad(f"pst_noisy {rec.pst_noisy} is not a probability")
         if not close(rec.relative_pst, rec.pst_noisy / profile.pst_ideal):
             bad(f"relative_pst {rec.relative_pst} is not pst_noisy / pst_ideal")
-    stats = {i: (math.fsum(v) / len(v), min(v), len(v))
-             for i, v in _by_gate(profile.records).items()}
+    stats = _gate_stats(profile.records)
     for g in gates:
         mean, low, count = stats.get(g.gate_index, _NO_RECORDS)
         if not (close(g.mean_relative_pst, mean) and close(g.min_relative_pst, low)

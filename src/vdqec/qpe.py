@@ -17,9 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .circuits import MAX_QUBITS, Circuit, GateOp
+from .circuits import MAX_QUBITS, Circuit, GateOp, check_measured
 from .config import RunConfig
-from .errors import ValidationError
+from .errors import ValidationError, as_int
 
 
 @dataclass(frozen=True)
@@ -31,11 +31,12 @@ class QpeSpec:
     phase_den: int = RunConfig.phase_den
 
     def __post_init__(self):
-        if not (1 <= self.counting_qubits <= MAX_QUBITS - 1):  # + the target
+        # the counting register plus the target
+        if not 1 <= as_int(self.counting_qubits, "counting_qubits") <= MAX_QUBITS - 1:
             raise ValidationError(f"counting_qubits must be in [1, {MAX_QUBITS - 1}]")
-        if self.phase_den <= 0:
+        if as_int(self.phase_den, "phase_den") <= 0:
             raise ValidationError("phase_den must be positive")
-        if not (0 <= self.phase_num < self.phase_den):
+        if not (0 <= as_int(self.phase_num, "phase_num") < self.phase_den):
             raise ValidationError("phase must satisfy 0 <= num/den < 1")
 
     @property
@@ -51,9 +52,9 @@ def build_inverse_qft(
     qubits[k] is treated as holding frequency bit k before the transform;
     afterwards qubits[k] holds phase bit len(qubits)-1-k.
     """
-    qs = tuple(int(q) for q in qubits)
-    if not qs or len(set(qs)) != len(qs):
-        raise ValidationError("qubits must be a nonempty list of distinct indices")
+    # the transform's qubits are its measured qubits, checked as Circuit
+    # checks them; Circuit checks the register size and range
+    qs = check_measured(MAX_QUBITS, qubits)
     if num_qubits is None:
         num_qubits = max(qs) + 1
     c = len(qs)

@@ -1,9 +1,11 @@
 """Exact statevector simulation of small gate circuits.
 
 This is the numpy side of circuits: the gate matrices and every amplitude.
-The circuit model (GATE_SIGNATURES, GateOp, Circuit, check_bitstring and
-the circuit document) is numpy-free and lives in vdqec.circuits; this
-module re-exports it, and gate_matrix builds each kind of its table.
+The circuit model (GATE_SIGNATURES, GateOp, Circuit, the circuit document
+and the rules a register, a gate and a readout obey) is numpy-free and
+lives in vdqec.circuits; gate_matrix builds each kind of its table, and
+zero_state, apply_gate and output_distribution check their arguments by
+its rules.
 
 Conventions:
   * qubit 0 is the least significant bit of a basis-state index;
@@ -34,17 +36,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import (  # noqa: F401  the circuit model, re-exported
+from .circuits import (
     GATE_SIGNATURES,
-    MAX_QUBITS,
-    MAX_TIMESTEP,
     Circuit,
     GateOp,
     check_bitstring,
-    circuit_digest,
-    circuit_from_json,
-    circuit_to_json,
+    check_layout,
+    check_measured,
 )
+# perfbench/traced.py --micro reads circuit_from_json from this module
+from .circuits import circuit_from_json  # noqa: F401
 from .errors import InvalidCircuitError, ValidationError
 
 SQRT2 = np.sqrt(2.0)
@@ -109,8 +110,7 @@ class StateVector:
 
 def zero_state(num_qubits: int) -> StateVector:
     """|0...0> on num_qubits qubits."""
-    if not (1 <= num_qubits <= MAX_QUBITS):
-        raise ValidationError(f"num_qubits must be in [1, {MAX_QUBITS}]")
+    check_layout(num_qubits, ())
     amps = np.zeros(2**num_qubits, dtype=complex)
     amps[0] = 1.0
     return StateVector(num_qubits, amps)
@@ -193,8 +193,7 @@ def _apply_op(amps: np.ndarray, n: int, op: GateOp) -> np.ndarray:
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:
     """Apply a single gate, returning a new state."""
     n = state.num_qubits
-    if any(q >= n for q in op.qubits):
-        raise InvalidCircuitError(f"{op.kind} touches qubit outside register")
+    check_layout(n, (op,))
     return StateVector(n, _apply_op(state.amplitudes, n, op))
 
 
@@ -244,9 +243,7 @@ def output_distribution(
     at most MIN_PROB are dropped.
     """
     n = state.num_qubits
-    mq = tuple(int(q) for q in measured_qubits)
-    if not mq or len(set(mq)) != len(mq) or any(not (0 <= q < n) for q in mq):
-        raise ValidationError(f"bad measured_qubits {measured_qubits}")
+    mq = check_measured(n, measured_qubits)
     masses = _masses(state.amplitudes, _outcome_rows(n, mq))
     return {format(k, f"0{len(mq)}b"): m for k, m in enumerate(masses) if m}
 

@@ -69,8 +69,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuits import Circuit, GateOp
-from .config import MAX_SEARCH_LENGTH, RunConfig, check_budget  # noqa: F401
-from .errors import CompileError, ValidationError
+from .config import RunConfig, check_budget
+from .errors import CompileError, ValidationError, as_real
 from .sim import gate_matrix, rz_matrix
 
 SYMBOLS = "XHSsTt"
@@ -78,7 +78,6 @@ KIND_OF_SYMBOL = {"X": "X", "H": "H", "S": "S", "s": "Sdg", "T": "T", "t": "Tdg"
 
 _MATS = np.stack([gate_matrix(KIND_OF_SYMBOL[c]) for c in SYMBOLS])
 
-DEFAULT_MAX_LENGTH = RunConfig.max_length
 
 @dataclass(frozen=True)
 class ApproxReport:
@@ -260,7 +259,7 @@ _CELLS = 1 << 15
 
 
 def approximate_rz(
-    theta: float, epsilon: float, max_length: int = DEFAULT_MAX_LENGTH
+    theta: float, epsilon: float, max_length: int = RunConfig.max_length
 ) -> ApproxReport:
     """Shortest normal-form Clifford+T approximation of Rz(theta).
 
@@ -268,7 +267,7 @@ def approximate_rz(
     holding a sequence within epsilon. If none qualifies, the best
     sequence seen anywhere is returned with converged=False.
     """
-    theta = float(theta)
+    theta = as_real(theta, "theta")
     if not math.isfinite(theta):
         raise ValidationError(f"theta must be finite, got {theta}")
     check_budget(epsilon, max_length)
@@ -303,7 +302,7 @@ def approximate_rz(
 
 
 def compile_circuit(
-    circuit: Circuit, epsilon: float, max_length: int = DEFAULT_MAX_LENGTH
+    circuit: Circuit, epsilon: float, max_length: int = RunConfig.max_length
 ) -> Circuit:
     """Rewrite a circuit over {X,Y,Z,H,S,Sdg,T,Tdg,CNOT}.
 

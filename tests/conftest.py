@@ -8,17 +8,11 @@ import numpy as np
 import pytest
 
 import vdqec
+from vdqec.circuits import Circuit, GateOp
 from vdqec.errors import AssignmentError, CampaignError, ValidationError
-from vdqec.inject import FaultSite
+from vdqec.profiles import FaultSite
 from vdqec.qecc import DEFAULT_PARAMS, logical_error_rate
-from vdqec.sim import (
-    Circuit,
-    GateOp,
-    gate_matrix,
-    output_distribution,
-    pst,
-    simulate,
-)
+from vdqec.sim import gate_matrix, output_distribution, pst, simulate
 
 
 def embed_gate(num_qubits, qubits, mat):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import exact_success_and_multi_mass
+from vdqec.circuits import Circuit, GateOp
 from vdqec.inject import run_campaign
 from vdqec.qecc import (
     ErrorModelParams,
@@ -24,7 +25,7 @@ from vdqec.qecc import (
 )
 from vdqec.qpe import QpeSpec, build_qpe
 from vdqec.render import heatmap_svg_bytes
-from vdqec.sim import Circuit, GateOp, output_distribution, pst, rz_matrix, simulate
+from vdqec.sim import output_distribution, pst, rz_matrix, simulate
 from vdqec.synth import approximate_rz, compile_circuit, dist, sequence_unitary
 
 TIGHT_EPS = 0.015

@@ -7,7 +7,7 @@ import importlib.util
 from pathlib import Path
 
 from vdqec import inject
-from vdqec.sim import Circuit, GateOp
+from vdqec.circuits import Circuit, GateOp
 
 TRACED = Path(__file__).resolve().parent.parent / "perfbench" / "traced.py"
 

@@ -1,3 +1,4 @@
+import ast
 import copy
 import dataclasses
 import hashlib
@@ -9,24 +10,21 @@ import re
 import statistics
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vdqec.circuits import GATE_SIGNATURES, MAX_QUBITS, circuit_from_json
 from vdqec.cli import _config, build_parser, main, parse_theta
+from vdqec.config import RunConfig
 from vdqec.errors import ValidationError
-from vdqec.inject import profile_from_json, profile_to_json, run_campaign
-from vdqec.pipeline import (
-    RunConfig,
-    circuit_bytes,
-    config_from_json,
-    run_pipeline,
-    write_atomic,
-)
+from vdqec.inject import run_campaign
+from vdqec.pipeline import circuit_bytes, config_from_json, run_pipeline, write_atomic
+from vdqec.profiles import profile_from_json, profile_to_json
 from vdqec.qpe import QpeSpec, build_qpe
 from vdqec.qecc import assignment_from_json
-from vdqec.sim import GATE_SIGNATURES, MAX_QUBITS, circuit_from_json
 
 QUICK_CONFIG = {
     "synthesis_epsilon": 0.25,
@@ -364,6 +362,28 @@ def test_library_defaults_are_run_config_defaults(function, param, field):
     assert default == getattr(RunConfig(), field)
 
 
+@pytest.mark.parametrize("function, args", [
+    ("synth.approximate_rz", ("1.0", 0.1, 5)),
+    ("synth.approximate_rz", (True, 0.1, 5)),
+    ("qpe.build_inverse_qft", ((0.5, 1),)),
+    ("qpe.build_inverse_qft", (("0", 1),)),
+    ("qpe.QpeSpec", ("3", 1, 8)),
+    ("qpe.QpeSpec", (3, 1.0, 8)),
+    ("qecc.ErrorModelParams", ("0.03", 1)),
+    ("qecc.check_tau", ("x",)),
+    ("qecc.log_p_grid", (1e-5, 1e-2, 2.5)),
+], ids=str)
+def test_library_arguments_are_checked_by_type(function, args):
+    """The library's entry points check their numbers with as_int and
+    as_real, as RunConfig checks its fields: a string, a bool or a float
+    where an int belongs is refused with a ValidationError, not coerced
+    and not left to fail as a bare TypeError."""
+    module, name = function.split(".")
+    fn = getattr(importlib.import_module(f"vdqec.{module}"), name)
+    with pytest.raises(ValidationError, match="must be an? (integer|real number), got"):
+        fn(*args)
+
+
 CIRCUIT_1Q = {"num_qubits": 1, "measured_qubits": [0]}
 QPE_2Q = json.loads(circuit_bytes(*build_qpe(QpeSpec(2, 1, 4))))
 PROFILE_1Q = {
@@ -583,25 +603,29 @@ PACKAGE_EXPORTS = {
     "errors": ["AssignmentError", "CampaignError", "CompileError",
                "InvalidCircuitError", "StaleCacheError", "ValidationError",
                "VdqecError"],
-    "sim": ["Circuit", "GateOp", "StateVector", "apply_gate", "circuit_digest",
-            "circuit_from_json", "circuit_to_json", "gate_matrix",
-            "output_distribution", "pst", "rz_matrix", "simulate", "zero_state"],
+    "circuits": ["Circuit", "GateOp", "circuit_digest", "circuit_from_json",
+                 "circuit_to_json"],
+    "sim": ["StateVector", "apply_gate", "gate_matrix", "output_distribution",
+            "pst", "rz_matrix", "simulate", "zero_state"],
     "synth": ["ApproxReport", "approximate_rz", "compile_circuit", "dist",
               "sequence_unitary"],
     "qpe": ["QpeSpec", "build_inverse_qft", "build_qpe"],
-    "inject": ["FaultSite", "SensitivityProfile", "SensitivityRecord",
-               "enumerate_sites", "profile_from_json", "profile_to_json",
-               "run_campaign"],
+    "profiles": ["FaultSite", "SensitivityProfile", "SensitivityRecord",
+                 "profile_from_json", "profile_to_json"],
+    "inject": ["enumerate_sites", "run_campaign"],
     "qecc": ["CodeAssignment", "ErrorModelParams", "TtsPoint",
              "assign_two_distance", "assignment_from_json", "assignment_to_json",
              "distance_config", "ladder", "latency", "log_p_grid",
              "logical_error_rate", "pst_bound", "sweep_tts", "time_to_solution",
              "uniform_assignment"],
-    "pipeline": ["RunConfig", "run_pipeline"],
+    "config": ["RunConfig"],
+    "pipeline": ["run_pipeline"],
 }
 
 
 def test_package_root_resolves_every_export():
+    """Each public name resolves to the module that defines it, its one
+    home, which is the module the package root maps it to."""
     import importlib
 
     import vdqec
@@ -611,7 +635,9 @@ def test_package_root_resolves_every_export():
     for module, group in PACKAGE_EXPORTS.items():
         defining = importlib.import_module(f"vdqec.{module}")
         for name in group:
-            assert getattr(vdqec, name) is getattr(defining, name), name
+            value = getattr(vdqec, name)
+            assert value is getattr(defining, name), name
+            assert value.__module__ == defining.__name__, name
     assert sorted(vdqec.__all__) == names
     assert set(names) <= set(dir(vdqec))
     with pytest.raises(AttributeError):
@@ -619,6 +645,35 @@ def test_package_root_resolves_every_export():
     from vdqec import (  # noqa: F401  the README's Library block
         build_qpe, compile_circuit, run_campaign, ladder, sweep_tts, log_p_grid,
     )
+
+
+# (module, name) pairs that a src/vdqec module imports from a sibling and
+# does not read itself
+UNREAD_IMPORTS = {
+    # perfbench/traced.py --micro imports circuit_from_json from vdqec.sim
+    ("sim", "circuit_from_json"),
+}
+
+
+def test_modules_import_only_what_they_read():
+    """No module re-exports a sibling's names: every name a src/vdqec
+    module (the package root aside) imports from a sibling is read in that
+    module, so each name has one home."""
+    import vdqec
+
+    unread = set()
+    for path in sorted(Path(vdqec.__file__).parent.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                unread |= {(path.stem, alias.asname or alias.name)
+                           for alias in node.names
+                           if (alias.asname or alias.name) not in read}
+    assert unread == UNREAD_IMPORTS
 
 
 # one valid document per loader; the property below mutates them

@@ -7,31 +7,30 @@ import pytest
 from conftest import inject, relative_pst_of_injection, traced_peak, with_faultable
 from vdqec import inject as inject_module
 from vdqec.cli import main
-from vdqec.config import RunConfig
+from vdqec.circuits import MAX_QUBITS, Circuit, GateOp, circuit_to_json
+from vdqec.config import MAX_SEARCH_LENGTH, RunConfig
 from vdqec.errors import CampaignError, ValidationError
-from vdqec.inject import (
+from vdqec.inject import enumerate_sites, run_campaign
+from vdqec.pipeline import benchmark, compile_rotations
+from vdqec.profiles import (
+    _NO_RECORDS,
     FaultSite,
-    enumerate_sites,
+    _gate_stats,
+    _mean,
+    _sites,
     profile_from_json,
     profile_to_json,
-    run_campaign,
 )
-from vdqec.pipeline import benchmark, compile_rotations
-from vdqec.profiles import _NO_RECORDS, _gate_stats, _mean, _sites
 from vdqec.qpe import QpeSpec, build_qpe
 from vdqec.sim import (
-    MAX_QUBITS,
-    Circuit,
-    GateOp,
     _apply_op,
     _outcome_rows,
-    circuit_to_json,
     output_distribution,
     pst,
     simulate,
     zero_state,
 )
-from vdqec.synth import MAX_SEARCH_LENGTH, compile_circuit
+from vdqec.synth import compile_circuit
 
 
 def single_h():
@@ -657,3 +656,15 @@ def test_unknown_mode_is_refused_before_simulating(monkeypatch):
         run_campaign(single_cnot(), "00", "bogus")
     with pytest.raises(ValidationError, match="mode must be one of"):
         _sites(single_cnot().ops, "full")
+
+
+def test_campaign_mode_has_one_rule():
+    """RunConfig and the fault-site rule refuse a mode by one check,
+    config.check_mode, which names the field it checks."""
+    with pytest.raises(ValidationError) as by_config:
+        RunConfig(injection_mode="bogus")
+    with pytest.raises(ValidationError) as by_sites:
+        _sites((), "bogus")
+    assert str(by_sites.value) == (
+        "mode must be one of ('mirrored', 'full-depolarizing'), got 'bogus'")
+    assert str(by_config.value) == "injection_" + str(by_sites.value)

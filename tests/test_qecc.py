@@ -14,9 +14,11 @@ from conftest import (
     site_error_prob,
 )
 from vdqec import qecc
+from vdqec.circuits import Circuit, GateOp
+from vdqec.config import RunConfig
 from vdqec.errors import AssignmentError, ValidationError
-from vdqec.inject import GateSummary, SensitivityProfile, run_campaign
-from vdqec.pipeline import RunConfig
+from vdqec.inject import run_campaign
+from vdqec.profiles import GateSummary, SensitivityProfile
 from vdqec.qecc import (
     CodeAssignment,
     ErrorModelParams,
@@ -33,7 +35,7 @@ from vdqec.qecc import (
     uniform_assignment,
 )
 from vdqec.qpe import build_qpe
-from vdqec.sim import Circuit, GateOp, output_distribution, simulate
+from vdqec.sim import output_distribution, simulate
 from vdqec.synth import compile_circuit
 
 P_TH = 0.0057

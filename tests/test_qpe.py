@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import dense_circuit_unitary
+from vdqec.circuits import Circuit
 from vdqec.errors import ValidationError
 from vdqec.qpe import QpeSpec, build_inverse_qft, build_qpe
-from vdqec.sim import Circuit, output_distribution, pst, simulate
+from vdqec.sim import output_distribution, pst, simulate
 
 
 def run_pst(circuit, correct):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import with_faultable
+from vdqec.circuits import Circuit, GateOp
 from vdqec.inject import run_campaign
 from vdqec.qecc import TtsPoint, log_p_grid, sweep_tts, uniform_assignment
 from vdqec.qpe import build_qpe
@@ -19,7 +20,7 @@ from vdqec.render import (
     heatmap_svg_bytes,
     sweep_csv_bytes,
 )
-from vdqec.sim import Circuit, GateOp, output_distribution, simulate
+from vdqec.sim import output_distribution, simulate
 
 
 def qpe_profile():

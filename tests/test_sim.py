@@ -9,16 +9,18 @@ from hypothesis import strategies as st
 
 from conftest import dense_circuit_unitary
 from vdqec import inject, sim
-from vdqec.errors import InvalidCircuitError, ValidationError
-from vdqec.sim import (
+from vdqec.circuits import (
+    GATE_SIGNATURES,
     Circuit,
     GateOp,
-    StateVector,
-    GATE_SIGNATURES,
-    apply_gate,
     circuit_digest,
     circuit_from_json,
     circuit_to_json,
+)
+from vdqec.errors import InvalidCircuitError, ValidationError
+from vdqec.sim import (
+    StateVector,
+    apply_gate,
     gate_matrix,
     output_distribution,
     pst,
@@ -246,6 +248,30 @@ def test_circuit_validation():
 def test_apply_gate_rejects_out_of_range():
     with pytest.raises(InvalidCircuitError):
         apply_gate(zero_state(1), GateOp("CNOT", (0, 1)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: zero_state(True), "num_qubits must be an integer, got True"),
+    (lambda: zero_state(2.0), "num_qubits must be an integer, got 2.0"),
+    (lambda: apply_gate(zero_state(2), GateOp("X", (-1,))),
+     r"X touches qubit outside \[0, 2\): \(-1,\)"),
+], ids=["zero-state-bool", "zero-state-float", "apply-gate-negative-qubit"])
+def test_registers_are_checked_by_the_circuit_model(call, message):
+    """zero_state and apply_gate check the register size and a gate's
+    qubits by the circuit model's rule, circuits.check_layout."""
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("measured", [(1.7,), (1.0,), ("1",), (True,)])
+def test_measured_qubits_are_checked_by_the_circuit_model(measured):
+    """output_distribution refuses the measured qubits that Circuit
+    refuses, by the one readout rule, circuits.check_measured: a float, a
+    string or a bool is refused, not coerced."""
+    for call in (lambda: output_distribution(zero_state(2), measured),
+                 lambda: Circuit(2, (), measured)):
+        with pytest.raises(ValidationError, match="measured qubit must be an integer"):
+            call()
 
 
 def test_circuit_json_roundtrip():

@@ -10,12 +10,13 @@ from conftest import (
     table_scan_rz,
     traced_peak,
 )
+from vdqec.circuits import Circuit, GateOp
+from vdqec.config import RunConfig
 from vdqec.errors import CompileError, ValidationError
 from vdqec.qpe import QpeSpec, build_qpe
-from vdqec.sim import Circuit, GateOp, rz_matrix
+from vdqec.sim import rz_matrix
 from vdqec import synth
 from vdqec.synth import (
-    DEFAULT_MAX_LENGTH,
     approximate_rz,
     compile_circuit,
     sequence_unitary,
@@ -369,16 +370,16 @@ def test_join_scratch_memory_is_bounded():
     cells a chunk peaked at 8.3 MiB on both."""
     synth._TABLE.ensure_length(17)
     assert traced_peak(synth._TABLE.join, 17, 17, rz_matrix(0.3), 0.015) < 4 << 20
-    assert traced_peak(approximate_rz, 0.1, 1e-9, DEFAULT_MAX_LENGTH) < 4 << 20
+    assert traced_peak(approximate_rz, 0.1, 1e-9, RunConfig.max_length) < 4 << 20
 
 
 def test_full_budget_stays_bounded():
     """A non-converging call at the full length budget joins table levels
     up to 17 and never grows the table to level 34."""
     before = len(synth._TABLE.levels) - 1
-    r = approximate_rz(0.1, 1e-9, DEFAULT_MAX_LENGTH)
+    r = approximate_rz(0.1, 1e-9, RunConfig.max_length)
     assert not r.converged
-    assert len(r.sequence) == r.length <= DEFAULT_MAX_LENGTH
+    assert len(r.sequence) == r.length <= RunConfig.max_length
     assert oracle_normal_form(r.sequence)
     assert r.achieved_distance == pytest.approx(
         oracle_dist(sequence_unitary(r.sequence), 0.1), abs=1e-12
@@ -498,7 +499,7 @@ def test_compile_error_names_the_gate():
 
 
 def test_default_max_length_is_locked():
-    assert DEFAULT_MAX_LENGTH == 34
+    assert RunConfig.max_length == 34
 
 
 def test_compile_numbers_timesteps_in_order():

@@ -42,10 +42,11 @@ bitwise equal to a replay of its site alone, whatever the chunk size.
 sim's readout, the one output_distribution uses, scores the noiseless
 run, every replayed site and the adjoint sweep's overlaps; this module
 computes no |amp|^2 of its own. This module enumerates the sites and
-chooses the sweep; vdqec.profiles.build_profile turns the sweep's PSTs
-into the records and gate summaries, by the rules the profile loader
-checks a saved profile with. The cached states hold G * 2^n amplitudes
-for G gates, which MAX_CACHED_AMPS bounds.
+chooses the sweep; vdqec.profiles.build_profile turns the circuit's
+digest, register size and gates and the sweep's PSTs into the records
+and gate summaries, the same function whose profile the profile loader
+returns. The cached states hold G * 2^n amplitudes for G gates, which
+MAX_CACHED_AMPS bounds.
 The campaign aggregates records into spatio-temporal cells keyed by
 (qubit, timestep): the mean relative PST over every error type at the
 gates touching that cell. Cells of non-faultable gates report 1.0 with
@@ -65,7 +66,7 @@ import itertools
 
 import numpy as np
 
-from .circuits import Circuit, check_bitstring
+from .circuits import Circuit, check_bitstring, circuit_digest
 from .config import RunConfig
 from .errors import CampaignError, ValidationError
 from .profiles import (
@@ -131,12 +132,11 @@ def _replay_psts(circuit: Circuit, prefixes, sites, rows) -> list[float]:
         g = chunk[0].gate_index
         for k, site in enumerate(chunk):
             for op in ops[g + 1:site.gate_index + 1]:
-                block = _apply_op(block, n, op)
+                block = _apply_op(block, op)
             g = site.gate_index
-            block[k] = _apply(prefixes[g], n, ops[g].qubits,
-                              _pauli_stack((site.paulis,))[0])
+            block[k] = _apply(prefixes[g], ops[g].qubits, _pauli_stack((site.paulis,))[0])
         for op in ops[g + 1:]:
-            block = _apply_op(block, n, op)
+            block = _apply_op(block, op)
         psts += _masses(block, rows)
     return psts
 
@@ -178,7 +178,7 @@ def _adjoint_psts(circuit: Circuit, prefixes, sites, rows) -> list[float]:
     masses, g = [], len(ops) - 1
     for gate, labels in reversed(groups):
         for op in ops[g:gate:-1]:
-            bra = _apply(bra, n, op.qubits, gate_matrix(op.kind, op.params).T)
+            bra = _apply(bra, op.qubits, gate_matrix(op.kind, op.params).T)
         g = gate
         red = _reduced_overlap(bra, prefixes[g], ops[g].qubits)
         amps = np.einsum("sab,abr->sr", _pauli_stack(labels), red)
@@ -214,7 +214,7 @@ def run_campaign(
     prefixes = []
     amps = zero_state(n).amplitudes
     for op in circuit.ops:
-        amps = _apply_op(amps, n, op)
+        amps = _apply_op(amps, op)
         prefixes.append(amps)
     pst_ideal = _masses(amps, rows)
     if pst_ideal <= 0.0:
@@ -233,4 +233,5 @@ def run_campaign(
     replayed = sum(len(circuit.ops) - 1 - s.gate_index for s in sites)
     adjoint = len(rows) * (len(circuit.ops) + len(sites)) <= replayed
     noisy = (_adjoint_psts if adjoint else _replay_psts)(circuit, prefixes, sites, rows)
-    return build_profile(circuit, mode, pst_ideal, sites, noisy)
+    return build_profile(circuit_digest(circuit), n, circuit.ops, mode, pst_ideal,
+                         sites, noisy)

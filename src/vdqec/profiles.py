@@ -8,15 +8,19 @@ profile through this module alone.
 
 A profile's records are its fault sites in campaign order (_sites), and
 each gate summary is the mean, minimum and count of the relative PST of
-its gate's records (_gate_stats). This module is the one place that
-derives them: run_campaign returns build_profile's profile, and the
-loader recomputes both from a document's records by the same rules and
-refuses a document whose fields disagree by more than _TOL of their size.
-The mean (_mean) adds a gate's values in numpy's pairwise order, so the
-artifacts keep the bytes float(np.mean(v)) gave them, without numpy. The
-loader checks each gate summary's kind, qubits and timestep, and the
-gates' qubit range and order, by the circuit model's rules
-(vdqec.circuits.check_gate and check_layout).
+its gate's records (_gate_stats). One function derives them,
+build_profile, from a gate list, the mode, the noiseless PST and the
+noisy PSTs, and both run_campaign and profile_from_json return its
+profile. The loader checks each gate summary's kind, qubits and timestep,
+and the gates' qubit range and order, by the circuit model's rules
+(vdqec.circuits.check_gate and check_layout), and the records' sites
+against _sites; it builds the profile from the stored noisy PSTs and
+refuses a document whose stored relative PSTs or summaries differ from
+the built ones by more than _TOL of their size. So a loaded profile holds
+the builder's numbers, never the stored ones, and _TOL decides only
+whether a document loads. The mean (_mean) adds a gate's values in
+numpy's pairwise order, so the artifacts keep the bytes float(np.mean(v))
+gave them, without numpy.
 """
 
 from __future__ import annotations
@@ -26,12 +30,12 @@ import math
 import re
 from dataclasses import dataclass
 
-from .circuits import check_gate, check_layout, circuit_digest
+from .circuits import check_gate, check_layout
 from .config import check_mode
 from .errors import ValidationError, as_bool, as_int, as_real
 
-# how far a loaded profile's derived numbers may sit from the values
-# recomputed from its records, relative to their size where that exceeds 1
+# how far a document's stored derived numbers may sit from the ones
+# build_profile recomputes, relative to their size where that exceeds 1
 # (the floats were rounded once already; a relative PST reaches
 # 1 / pst_ideal, so one ulp of a mean can exceed any absolute bound)
 _TOL = 1e-12
@@ -148,21 +152,24 @@ def _gate_stats(records) -> dict[int, tuple[float, float, int]]:
     return {i: (_mean(v), min(v), len(v)) for i, v in by_gate.items()}
 
 
-def build_profile(circuit, mode: str, pst_ideal: float, sites, noisy) -> SensitivityProfile:
-    """The profile of a campaign on `circuit` whose noiseless run reads the
-    correct bitstring with probability pst_ideal: one record per site of
-    `sites`, scored by its PST noisy[k] and its relative PST
-    noisy[k] / pst_ideal, and one summary per gate of its records."""
+def build_profile(digest: str, num_qubits: int, gates, mode: str, pst_ideal: float,
+                  sites, noisy) -> SensitivityProfile:
+    """The profile of a campaign on the circuit with digest `digest`, whose
+    `gates`, anything with .kind, .qubits, .timestep and .faultable such as
+    circuit.ops or profile.gates, act on num_qubits qubits, and whose
+    noiseless run reads the correct bitstring with probability pst_ideal:
+    one record per site of `sites`, scored by its PST noisy[k] and its
+    relative PST noisy[k] / pst_ideal, and one summary per gate of its
+    records. run_campaign and profile_from_json both return its profile."""
     records = tuple(SensitivityRecord(site, p, p / pst_ideal)
                     for site, p in zip(sites, noisy))
     stats = _gate_stats(records)
-    gates = tuple(
+    summaries = tuple(
         GateSummary(i, op.kind, op.qubits, op.timestep, op.faultable,
                     *stats.get(i, _NO_RECORDS))
-        for i, op in enumerate(circuit.ops)
+        for i, op in enumerate(gates)
     )
-    return SensitivityProfile(circuit_digest(circuit), circuit.num_qubits, mode,
-                              pst_ideal, records, gates)
+    return SensitivityProfile(digest, num_qubits, mode, pst_ideal, records, summaries)
 
 
 def profile_to_json(profile: SensitivityProfile) -> dict:
@@ -192,14 +199,23 @@ def profile_to_json(profile: SensitivityProfile) -> dict:
 
 
 def profile_from_json(doc: dict) -> SensitivityProfile:
+    """The profile build_profile builds from the document's gate summaries,
+    mode, noiseless PST and noisy PSTs. Raises ValidationError unless the
+    gates obey the circuit model's rules, the records list exactly the
+    fault sites of those gates in campaign order, and every stored relative
+    PST and gate summary is within _TOL of its size of the built one; the
+    stored derived numbers are checked, never returned."""
+
+    def bad(what):
+        raise ValidationError(f"inconsistent profile: {what}")
+
+    def close(a, b):
+        tol = _TOL * max(1.0, abs(b))
+        return abs(a - b) <= tol < math.inf  # False for NaN and for b = inf
+
     try:
-        records = tuple(
-            SensitivityRecord(
-                FaultSite(as_int(gi, "gate index"), tuple(paulis)),
-                as_real(pn, "pst_noisy"), as_real(rp, "relative_pst"),
-            )
-            for gi, paulis, pn, rp in doc["records"]
-        )
+        digest, num_qubits, mode = doc["circuit_digest"], doc["num_qubits"], doc["mode"]
+        pst_ideal = as_real(doc["pst_ideal"], "pst_ideal")
         gates = tuple(
             GateSummary(
                 as_int(gi, "gate index"), kind,
@@ -210,55 +226,37 @@ def profile_from_json(doc: dict) -> SensitivityProfile:
             )
             for gi, kind, qubits, ts, f, mean, mn, nr in doc["gates"]
         )
-        profile = SensitivityProfile(
-            circuit_digest=doc["circuit_digest"],
-            num_qubits=as_int(doc["num_qubits"], "num_qubits"),
-            mode=doc["mode"],
-            pst_ideal=as_real(doc["pst_ideal"], "pst_ideal"),
-            records=records,
-            gates=gates,
-        )
-        _check_consistent(profile)
-        return profile
+        records = [(as_int(gi, "gate index"), paulis, as_real(pn, "pst_noisy"),
+                    as_real(rp, "relative_pst"))
+                   for gi, paulis, pn, rp in doc["records"]]
+        if not (isinstance(digest, str) and re.fullmatch("[0-9a-f]{64}", digest)):
+            bad(f"circuit_digest must be 64 hex characters, got {digest!r}")
+        if not 0 < pst_ideal <= 1 + _TOL:
+            bad(f"pst_ideal must be in (0, 1], got {pst_ideal}")
+        for i, g in enumerate(gates):
+            if g.gate_index != i:
+                bad(f"gate {i} has gate index {g.gate_index}")
+            check_gate(g.kind, g.qubits, g.timestep)
+        check_layout(num_qubits, gates)
+        _check_distinct_cells(gates)
+        sites = _sites(gates, mode)
+        # the Pauli string compares only to a str, so ["X"] is refused
+        if [r[:2] for r in records] != [(s.gate_index, "".join(s.paulis)) for s in sites]:
+            bad(f"the records are not the {len(sites)} {mode} fault sites "
+                "of its gates, in campaign order")
+        for _, _, pst_noisy, _ in records:
+            if not 0 <= pst_noisy <= 1 + _TOL:
+                bad(f"pst_noisy {pst_noisy} is not a probability")
+        profile = build_profile(digest, num_qubits, gates, mode, pst_ideal, sites,
+                                [r[2] for r in records])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed profile document: {exc}") from exc
-
-
-def _check_consistent(profile: SensitivityProfile) -> None:
-    """Raise ValidationError unless the profile's fields agree with each
-    other the way run_campaign writes them."""
-
-    def bad(what):
-        raise ValidationError(f"inconsistent profile: {what}")
-
-    def close(a, b):
-        tol = _TOL * max(1.0, abs(b))
-        return abs(a - b) <= tol < math.inf  # False for NaN and for b = inf
-
-    gates = profile.gates
-    if not (isinstance(profile.circuit_digest, str)
-            and re.fullmatch("[0-9a-f]{64}", profile.circuit_digest)):
-        bad(f"circuit_digest must be 64 hex characters, got {profile.circuit_digest!r}")
-    if not 0 < profile.pst_ideal <= 1 + _TOL:
-        bad(f"pst_ideal must be in (0, 1], got {profile.pst_ideal}")
-    for i, g in enumerate(gates):
-        if g.gate_index != i:
-            bad(f"gate {i} has gate index {g.gate_index}")
-        check_gate(g.kind, g.qubits, g.timestep)
-    check_layout(profile.num_qubits, gates)
-    _check_distinct_cells(gates)
-    sites = _sites(gates, profile.mode)
-    if [rec.site for rec in profile.records] != sites:
-        bad(f"the records are not the {len(sites)} {profile.mode} fault sites "
-            "of its gates, in campaign order")
-    for rec in profile.records:
-        if not 0 <= rec.pst_noisy <= 1 + _TOL:
-            bad(f"pst_noisy {rec.pst_noisy} is not a probability")
-        if not close(rec.relative_pst, rec.pst_noisy / profile.pst_ideal):
-            bad(f"relative_pst {rec.relative_pst} is not pst_noisy / pst_ideal")
-    stats = _gate_stats(profile.records)
-    for g in gates:
-        mean, low, count = stats.get(g.gate_index, _NO_RECORDS)
-        if not (close(g.mean_relative_pst, mean) and close(g.min_relative_pst, low)
-                and g.n_records == count):
+    for (*_, stored), rec in zip(records, profile.records):
+        if not close(stored, rec.relative_pst):
+            bad(f"relative_pst {stored} is not pst_noisy / pst_ideal")
+    for stored, g in zip(gates, profile.gates):
+        if not (close(stored.mean_relative_pst, g.mean_relative_pst)
+                and close(stored.min_relative_pst, g.min_relative_pst)
+                and stored.n_records == g.n_records):
             bad(f"the summary of gate {g.gate_index} does not match its records")
+    return profile

@@ -46,8 +46,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .circuits import check_layout
 from .config import RunConfig
-from .errors import AssignmentError, ValidationError, as_int, as_real
+from .errors import AssignmentError, ValidationError, as_bool, as_int, as_real
 from .profiles import SensitivityProfile
 
 
@@ -70,8 +71,12 @@ class CodeAssignment:
     """Per-qubit distance schedules.
 
     schedules[q] is a tuple of (start_timestep, distance) segments with
-    strictly increasing starts and nondecreasing odd distances >= 3; the
-    first segment must start at timestep 0 so every timestep is covered.
+    strictly increasing int starts and nondecreasing distances that pass
+    check_distance; the first segment must start at timestep 0 so every
+    timestep is covered. The label is a str, and num_qubits obeys the
+    circuit model's register rule (circuits.check_layout). The class checks
+    every field itself, as GateOp does, and stores the schedules as tuples,
+    so assignment_from_json only maps a document onto it.
     """
 
     label: str
@@ -79,6 +84,12 @@ class CodeAssignment:
     schedules: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self):
+        if not isinstance(self.label, str):
+            raise AssignmentError(f"label must be a str, got {self.label!r}")
+        check_layout(self.num_qubits, ())
+        object.__setattr__(self, "schedules", tuple(
+            tuple((as_int(start, "segment start"), d) for start, d in segs)
+            for segs in self.schedules))
         if len(self.schedules) != self.num_qubits:
             raise AssignmentError("one schedule per qubit is required")
         for q, segs in enumerate(self.schedules):
@@ -100,9 +111,9 @@ class CodeAssignment:
                 prev_start, prev_d = start, d
 
     def distance_at(self, qubit: int, timestep: int) -> int:
-        if not (0 <= qubit < self.num_qubits):
+        if not 0 <= as_int(qubit, "qubit") < self.num_qubits:
             raise AssignmentError(f"qubit {qubit} outside assignment")
-        if timestep < 0:
+        if as_int(timestep, "timestep") < 0:
             raise AssignmentError(f"timestep {timestep} not covered")
         d = None
         for start, dist in self.schedules[qubit]:
@@ -136,8 +147,8 @@ def check_distance(d) -> None:
 
 
 def uniform_assignment(num_qubits: int, distance: int) -> CodeAssignment:
-    schedules = tuple((((0, distance),)) for _ in range(num_qubits))
-    return CodeAssignment(f"d={distance}", num_qubits, schedules)
+    check_layout(num_qubits, ())
+    return CodeAssignment(f"d={distance}", num_qubits, (((0, distance),),) * num_qubits)
 
 
 def check_tau(tau: float) -> None:
@@ -224,7 +235,8 @@ def logical_error_rate(
 ) -> float:
     """Per-gate logical error probability of a distance-d patch, in [0, 1]."""
     check_distance(distance)
-    if not (0.0 < p < 1.0):
+    p = as_real(p, "physical error rate")
+    if not 0.0 < p < 1.0:
         raise ValidationError(f"physical error rate must be in (0, 1), got {p}")
     try:
         rate = params.prefactor * (p / params.threshold) ** ((distance + 1) / 2)
@@ -240,7 +252,8 @@ def pst_bound(
     params: ErrorModelParams = DEFAULT_PARAMS,
 ) -> float:
     """Lower bound on PST under the error model (see module docstring)."""
-    return float(_pst_bounds(profile, assignment, [p], params)[0])
+    grid = [as_real(p, "physical error rate")]
+    return float(_pst_bounds(profile, assignment, grid, params)[0])
 
 
 # cells (grid points x faultable gates) in one block of _pst_bounds: a
@@ -252,16 +265,15 @@ BLOCK_CELLS = 1 << 15
 def _pst_bounds(
     profile: SensitivityProfile,
     assignment: CodeAssignment,
-    p_grid,
+    grid: list[float],
     params: ErrorModelParams,
 ):
-    """pst_bound at every p of the grid, as an array, in blocks of at most
-    BLOCK_CELLS cells (see the module docstring)."""
+    """pst_bound at every p of the grid, a list of floats, as an array, in
+    blocks of at most BLOCK_CELLS cells (see the module docstring)."""
     import numpy as np
 
     if assignment.num_qubits != profile.num_qubits:
         raise AssignmentError("assignment does not match the profile's register")
-    grid = [float(p) for p in p_grid]
     faultable = [g for g in profile.gates if g.faultable]
     if not faultable:
         return np.full(len(grid), profile.pst_ideal)
@@ -314,17 +326,17 @@ def latency(
     total = 0
     for g in gates:
         total += max(assignment.distance_at(q, g.timestep) for q in g.qubits)
-    if include_resize:
+    if as_bool(include_resize, "include_resize"):
         total += assignment.resize_cost()
     return total
 
 
 def time_to_solution(latency_cycles: int, pst_lower_bound: float) -> float:
     """Expected cycles per success; infinite when success is impossible."""
-    if latency_cycles <= 0:
+    if as_int(latency_cycles, "latency") <= 0:
         raise ValidationError("latency must be positive")
-    if pst_lower_bound < 0:
-        raise ValidationError("pst bound must be nonnegative")
+    if not as_real(pst_lower_bound, "pst bound") >= 0:  # refuses NaN
+        raise ValidationError(f"pst bound must be nonnegative, got {pst_lower_bound}")
     if pst_lower_bound == 0.0:
         return math.inf
     return latency_cycles / pst_lower_bound
@@ -381,15 +393,16 @@ def sweep_tts(
     ordered by assignment then by p. The PST bounds of one assignment come
     from one pass over (points x gates) blocks, each bitwise equal to
     pst_bound at its p (see the module docstring)."""
+    grid = [as_real(p, "physical error rate") for p in p_grid]
     points = []
     for assignment in assignments:
         cycles = latency(profile.gates, assignment, include_resize)
-        bounds = _pst_bounds(profile, assignment, p_grid, params)
-        for p, bound in zip(p_grid, bounds.tolist()):
+        bounds = _pst_bounds(profile, assignment, grid, params)
+        for p, bound in zip(grid, bounds.tolist()):
             points.append(
                 TtsPoint(
                     config=assignment.label,
-                    p=float(p),
+                    p=p,
                     latency_cycles=cycles,
                     pst_bound=bound,
                     tts=time_to_solution(cycles, bound),
@@ -410,16 +423,6 @@ def assignment_to_json(assignment: CodeAssignment) -> dict:
 
 def assignment_from_json(doc: dict) -> CodeAssignment:
     try:
-        return CodeAssignment(
-            label=doc["label"],
-            num_qubits=as_int(doc["num_qubits"], "num_qubits"),
-            schedules=tuple(
-                tuple(
-                    (as_int(s, "segment start"), as_int(d, "distance"))
-                    for s, d in segs
-                )
-                for segs in doc["schedules"]
-            ),
-        )
+        return CodeAssignment(doc["label"], doc["num_qubits"], doc["schedules"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed assignment document: {exc}") from exc

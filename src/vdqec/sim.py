@@ -4,8 +4,8 @@ This is the numpy side of circuits: the gate matrices and every amplitude.
 The circuit model (GATE_SIGNATURES, GateOp, Circuit, the circuit document
 and the rules a register, a gate and a readout obey) is numpy-free and
 lives in vdqec.circuits; gate_matrix builds each kind of its table, and
-zero_state, apply_gate and output_distribution check their arguments by
-its rules.
+StateVector, zero_state, apply_gate and output_distribution check their
+arguments by its rules.
 
 Conventions:
   * qubit 0 is the least significant bit of a basis-state index;
@@ -98,6 +98,7 @@ class StateVector:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        check_layout(self.num_qubits, ())
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if amps.shape != (2**self.num_qubits,):
             raise ValidationError(
@@ -136,7 +137,7 @@ def _slices(amps: np.ndarray, qubits: tuple[int, ...]) -> list[np.ndarray]:
     return [psi[..., i & 1, :, i >> 1, :] for i in range(4)]
 
 
-def _apply(amps: np.ndarray, n: int, qubits: tuple[int, ...], mat: np.ndarray) -> np.ndarray:
+def _apply(amps: np.ndarray, qubits: tuple[int, ...], mat: np.ndarray) -> np.ndarray:
     """Apply a 2^k x 2^k matrix to the k target qubits (first qubit is the
     most significant bit of the matrix index), returning a new array.
 
@@ -186,15 +187,14 @@ def _reduced_overlap(bra: np.ndarray, psi: np.ndarray, qubits: tuple[int, ...]) 
     return np.array([[np.einsum(spec, x, y) for y in kets] for x in bras])
 
 
-def _apply_op(amps: np.ndarray, n: int, op: GateOp) -> np.ndarray:
-    return _apply(amps, n, op.qubits, gate_matrix(op.kind, op.params))
+def _apply_op(amps: np.ndarray, op: GateOp) -> np.ndarray:
+    return _apply(amps, op.qubits, gate_matrix(op.kind, op.params))
 
 
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:
     """Apply a single gate, returning a new state."""
-    n = state.num_qubits
-    check_layout(n, (op,))
-    return StateVector(n, _apply_op(state.amplitudes, n, op))
+    check_layout(state.num_qubits, (op,))
+    return StateVector(state.num_qubits, _apply_op(state.amplitudes, op))
 
 
 def simulate(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
@@ -204,10 +204,9 @@ def simulate(circuit: Circuit, initial: StateVector | None = None) -> StateVecto
     elif initial.num_qubits != circuit.num_qubits:
         raise ValidationError("initial state size does not match circuit")
     amps = initial.amplitudes
-    n = circuit.num_qubits
     for op in circuit.ops:
-        amps = _apply_op(amps, n, op)
-    return StateVector(n, amps)
+        amps = _apply_op(amps, op)
+    return StateVector(circuit.num_qubits, amps)
 
 
 def _outcome_rows(n: int, measured_qubits: tuple[int, ...]) -> np.ndarray:

@@ -372,6 +372,9 @@ def test_library_defaults_are_run_config_defaults(function, param, field):
     ("qecc.ErrorModelParams", ("0.03", 1)),
     ("qecc.check_tau", ("x",)),
     ("qecc.log_p_grid", (1e-5, 1e-2, 2.5)),
+    ("qecc.time_to_solution", ("5", 0.5)),
+    ("qecc.logical_error_rate", ("x", 3)),
+    ("qecc.uniform_assignment", ("2", 3)),
 ], ids=str)
 def test_library_arguments_are_checked_by_type(function, args):
     """The library's entry points check their numbers with as_int and
@@ -674,6 +677,32 @@ def test_modules_import_only_what_they_read():
                            for alias in node.names
                            if (alias.asname or alias.name) not in read}
     assert unread == UNREAD_IMPORTS
+
+
+def test_functions_read_every_parameter():
+    """Every parameter of every function and lambda in src/vdqec is read in
+    its body. The one exception is the `config` of the pipeline's command
+    dispatch: every cmd_* takes (args, config), and cmd_simulate and
+    cmd_heatmap read no config."""
+    import vdqec
+
+    unread = set()
+    for path in sorted(Path(vdqec.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            name, a = getattr(fn, "name", "<lambda>"), fn.args
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {node.id for stmt in body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            for param in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]:
+                if param is None or param.arg in read:
+                    continue
+                if (path.stem, param.arg) == ("pipeline", "config") and name.startswith("cmd_"):
+                    continue
+                unread.add((path.stem, name, param.arg))
+    assert unread == set()
 
 
 # one valid document per loader; the property below mutates them

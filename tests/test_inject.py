@@ -186,7 +186,7 @@ def sweep_inputs(circuit, correct):
     n = circuit.num_qubits
     amps, prefixes = zero_state(n).amplitudes, []
     for op in circuit.ops:
-        amps = _apply_op(amps, n, op)
+        amps = _apply_op(amps, op)
         prefixes.append(amps)
     return prefixes, _outcome_rows(n, circuit.measured_qubits)[int(correct, 2)]
 
@@ -291,7 +291,7 @@ def test_each_sweep_applies_each_gate_between_sites_once(monkeypatch, case, mode
     inject_module._adjoint_psts(circuit, prefixes, sites, rows)
     first = sites[0].gate_index
     assert len(walked) == len(ops) - 1 - first
-    assert [qubits for _, _, qubits, _ in walked] == [op.qubits for op in ops[:first:-1]]
+    assert [qubits for _, qubits, _ in walked] == [op.qubits for op in ops[:first:-1]]
 
     # chunks of 16 rows, which split a gate's 15 full-depolarizing sites
     monkeypatch.setattr(inject_module, "_BLOCK_AMPS", 16 << circuit.num_qubits)
@@ -299,7 +299,7 @@ def test_each_sweep_applies_each_gate_between_sites_once(monkeypatch, case, mode
     replayed = applied_ops(monkeypatch, "_apply_op", lambda *_: True)
     inject_module._replay_psts(circuit, prefixes, sites, rows)
     assert len(replayed) == sum(len(ops) - 1 - f for f in starts)
-    assert [op for _, _, op in replayed] == [op for f in starts for op in ops[f + 1:]]
+    assert [op for _, op in replayed] == [op for f in starts for op in ops[f + 1:]]
 
 
 def refuse(name):
@@ -515,6 +515,7 @@ INCONSISTENT = {
     "record-unfaultable-gate": _set(["gates", 1, 4], False),
     "record-missing-gate": _set(["records", 0, 0], 7),
     "record-pauli-count": _set(["records", 0, 1], "XX"),
+    "record-pauli-list": _set(["records", 0, 1], ["X"]),
     "record-mirrored-ix": _resummarised(_set(["records", 3, 1], "IX")),
     "record-duplicated": _resummarised(
         lambda doc: doc["records"].insert(1, list(doc["records"][0]))),
@@ -550,6 +551,21 @@ def test_profile_summaries_tolerate_rounding():
     _set(["gates", 2, 5], lambda v: v + 1e-13)(doc)
     _set(["records", 0, 3], lambda v: v - 1e-13)(doc)
     profile_from_json(doc)
+
+
+def test_loader_returns_the_builders_numbers():
+    """_TOL decides only whether a document loads: a mean or a relative PST
+    stored within it of the recomputed one loads, and the loaded profile
+    holds the recomputed numbers, build_profile's, not the stored ones."""
+    doc = _valid_profile_doc()
+    built = profile_from_json(doc)
+    doc["gates"][2][5] *= 1 + 1e-13
+    doc["records"][0][3] *= 1 - 1e-13
+    assert doc["gates"][2][5] != built.gates[2].mean_relative_pst
+    assert doc["records"][0][3] != built.records[0].relative_pst
+    loaded = profile_from_json(doc)
+    assert loaded.gates[2].mean_relative_pst == built.gates[2].mean_relative_pst
+    assert loaded == built
 
 
 def _fsum_mean_differs(profile):

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import tracemalloc
@@ -129,6 +130,82 @@ def test_assignment_validation():
     for d in (5.0, True, 1):
         with pytest.raises(AssignmentError):
             uniform_assignment(2, d)
+
+
+# a document assignment_from_json loads: two qubits, one escalating at 2
+ASSIGNMENT_DOC = {"label": "d=3,5", "num_qubits": 2,
+                  "schedules": [[[0, 3], [2, 5]], [[0, 3]]]}
+
+
+def _set_start(index, value):
+    def mutate(doc):
+        doc["schedules"][0][index][0] = value
+    return mutate
+
+
+def _set_register(value):
+    def mutate(doc):
+        doc["num_qubits"], doc["schedules"] = value, [[[0, 3]]] * int(value)
+    return mutate
+
+
+# each leaves one schedule per qubit, so only the field's own check objects
+BAD_ASSIGNMENT_FIELDS = {
+    "label-int": lambda doc: doc.update(label=5),
+    "qubits-0": _set_register(0),
+    "qubits-true": _set_register(True),
+    "qubits-13": _set_register(13),
+    "start-float": _set_start(1, 2.5),
+    "start-false": _set_start(0, False),
+}
+
+
+@pytest.mark.parametrize("mutate", list(BAD_ASSIGNMENT_FIELDS.values()),
+                         ids=list(BAD_ASSIGNMENT_FIELDS))
+def test_assignment_checks_every_field(mutate):
+    """CodeAssignment checks each field itself, as GateOp does, and
+    assignment_from_json, which only maps a document onto it, refuses
+    exactly what it refuses."""
+    doc = copy.deepcopy(ASSIGNMENT_DOC)
+    CodeAssignment(doc["label"], doc["num_qubits"], doc["schedules"])
+    mutate(doc)
+    with pytest.raises(ValidationError):
+        CodeAssignment(doc["label"], doc["num_qubits"], doc["schedules"])
+    with pytest.raises(ValidationError):
+        assignment_from_json(doc)
+
+
+def test_assignment_stores_schedules_as_tuples():
+    a = CodeAssignment("d=3,5", 2, ASSIGNMENT_DOC["schedules"])
+    assert a.schedules == (((0, 3), (2, 5)), ((0, 3),))
+    assert a == assignment_from_json(ASSIGNMENT_DOC)
+    hash(a)  # tuple schedules keep the frozen dataclass hashable
+
+
+# a one-qubit profile with one faultable gate
+TOY_PROFILE = SensitivityProfile(
+    "0" * 64, 1, "mirrored", 0.75, (), (GateSummary(0, "H", (0,), 0, True, 0.5, 0.5, 3),))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: time_to_solution(5, math.nan), "pst bound must be nonnegative, got nan"),
+    (lambda: pst_bound(TOY_PROFILE, uniform_assignment(1, 3), "0.001"),
+     "physical error rate must be a real number, got '0.001'"),
+    (lambda: sweep_tts(TOY_PROFILE, [uniform_assignment(1, 3)], [0.002, "0.001"]),
+     "physical error rate must be a real number, got '0.001'"),
+    (lambda: latency(TOY_PROFILE.gates, uniform_assignment(1, 3), include_resize="no"),
+     "include_resize must be a bool, got 'no'"),
+    (lambda: uniform_assignment(1, 3).distance_at("0", 1), "qubit must be an integer, got '0'"),
+    (lambda: uniform_assignment(1, 3).distance_at(0, 1.0),
+     "timestep must be an integer, got 1.0"),
+], ids=["tts-nan", "pst-bound-str", "sweep-str", "latency-resize-str",
+        "distance-at-str-qubit", "distance-at-float-timestep"])
+def test_cost_model_arguments_are_checked_by_type(call, message):
+    """The cost model's entry points check their numbers and flags with
+    as_int, as_real and as_bool: a string, a float or NaN is refused with a
+    ValidationError, not coerced, read by truthiness or returned."""
+    with pytest.raises(ValidationError, match=message):
+        call()
 
 
 def test_distance_schedule_lookup():

@@ -195,7 +195,7 @@ def test_phase_products_are_unfused(rng, kind, qubits, rows):
     amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     phase = complex(gate_matrix(kind, params)[-1, -1])
     assert phase.real and phase.imag
-    got = sim._apply(amps, n, qubits, gate_matrix(kind, params))
+    got = sim._apply(amps, qubits, gate_matrix(kind, params))
     expected = amps.copy()
     for state in expected.reshape(-1, 2**n):
         for i, z in enumerate(state.tolist()):
@@ -255,10 +255,12 @@ def test_apply_gate_rejects_out_of_range():
     (lambda: zero_state(2.0), "num_qubits must be an integer, got 2.0"),
     (lambda: apply_gate(zero_state(2), GateOp("X", (-1,))),
      r"X touches qubit outside \[0, 2\): \(-1,\)"),
-], ids=["zero-state-bool", "zero-state-float", "apply-gate-negative-qubit"])
+    (lambda: StateVector(True, np.array([1, 0])), "num_qubits must be an integer, got True"),
+], ids=["zero-state-bool", "zero-state-float", "apply-gate-negative-qubit",
+        "state-vector-bool"])
 def test_registers_are_checked_by_the_circuit_model(call, message):
-    """zero_state and apply_gate check the register size and a gate's
-    qubits by the circuit model's rule, circuits.check_layout."""
+    """zero_state, apply_gate and StateVector check the register size and
+    a gate's qubits by the circuit model's rule, circuits.check_layout."""
     with pytest.raises(ValidationError, match=message):
         call()
 

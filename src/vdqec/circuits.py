@@ -17,7 +17,6 @@ sim.output_distribution share.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -62,12 +61,16 @@ class GateOp:
     faultable: bool = True
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "qubits", tuple(as_int(q, "qubit") for q in self.qubits)
-        )
-        object.__setattr__(
-            self, "params", tuple(as_real(p, "parameter") for p in self.params)
-        )
+        try:
+            qubits = tuple(as_int(q, "qubit") for q in self.qubits)
+            params = tuple(as_real(p, "parameter") for p in self.params)
+        except TypeError:
+            raise InvalidCircuitError(
+                f"{self.kind!r} needs sequences of qubits and parameters, "
+                f"got {self.qubits!r} and {self.params!r}"
+            ) from None
+        object.__setattr__(self, "qubits", qubits)
+        object.__setattr__(self, "params", params)
         check_gate(self.kind, self.qubits, as_int(self.timestep, "timestep"))
         as_bool(self.faultable, "faultable")
         nparams = GATE_SIGNATURES[self.kind][1]
@@ -197,5 +200,7 @@ def circuit_from_json(doc: dict) -> Circuit:
 
 def circuit_digest(circuit: Circuit) -> str:
     """Stable sha256 over the canonical JSON form."""
+    import hashlib  # loads OpenSSL, which only a digest needs
+
     blob = json.dumps(circuit_to_json(circuit), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()

@@ -6,12 +6,12 @@ their knobs from a RunConfig, and both run_pipeline and the stage commands
 (cmd_*, which vdqec.cli dispatches to) call them, so a stage command given
 a config's flags writes the bytes the pipeline writes for that config.
 Each command loads only the modules it calls. The data layer (circuits,
-profiles), the cost model (qecc), the renderers and qpe load no numpy at
-import; synth, inject and sim, the modules that compute on arrays, are
-imported inside the stage functions and commands that run them. So assign,
-heatmap and qpe without --compile load no numpy, tts loads it for the
-sweep but not the simulator, synthesis or campaign, and the pipeline loads
-every stage.
+profiles), the cost model (qecc), the renderers and qpe import no numpy;
+synth, inject and sim, the modules that compute on arrays, are imported
+inside the stage functions and commands that run them. So assign, heatmap,
+tts and qpe without --compile load no numpy, and the pipeline loads every
+stage. hashlib, which loads OpenSSL, is imported only where a digest is
+taken: circuits.circuit_digest (the --circuit check) and the manifest.
 Artifacts are written atomically (a .partial temp file renamed on success
 and removed on a failed write, so only an interrupted run leaves .partial
 debris) and a manifest records the digest of every artifact for staleness
@@ -21,7 +21,6 @@ checks.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import os
 import sys
@@ -233,6 +232,8 @@ def run_pipeline(config: RunConfig, out_dir: str) -> dict:
 
     for name, data in artifacts.items():
         write_atomic(os.path.join(out_dir, name), data)
+
+    import hashlib  # loads OpenSSL, which only the manifest needs
 
     manifest = {
         "schema_version": SCHEMA_VERSION,

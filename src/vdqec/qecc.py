@@ -18,27 +18,27 @@ where mean_g PST_noisy is the campaign's mean post-fault PST at gate g.
 Discarding the multi-error mass can only lower the estimate, so this is
 a true lower bound for the depolarizing-style error model.
 
-A sweep evaluates the bound for one assignment over a whole grid of p as
-(points x gates) blocks. Each faultable gate's patch distances are read
-once. For each block of points the scalar rate function fills a survive
-block: one 1 - rate column per distinct distance, plus one column of rate
-0. Each gate then takes one gather from it, q_g = 1 - survive[first
-patch] * survive[second patch], where a one-qubit gate's second patch is
-the rate-0 column. As x * 1.0 = x exactly, that is the one-point
-formula's product in qubit order. The q_g block is C-ordered, so the
-products run along each row and np.sum(axis=1) adds a row's terms in the
-order np.sum adds one point's: every bound is bitwise equal to the
-one-point pst_bound. A block holds at most BLOCK_CELLS cells, so memory
-stays bounded for any grid.
+A sweep evaluates the bound for one assignment over a whole grid of p by
+class. The bound depends on a gate only through its patch distances, the
+distances of the patches it touches at its timestep, read in qubit order,
+and its mean. So the faultable gates fall into a few classes c (at most
+six under a two-distance assignment), one per patch-distance tuple: n_c
+gates, whose means mean_g PST_noisy sum, in gate order, to M_c. With ok_c
+the product of 1 - rate over the tuple and q_c = 1 - ok_c, each grid point
+costs a few float operations per class, however many gates there are:
 
-Every power is Python's float power: the rate's (p / threshold)^((d+1)/2)
-and each point 10^x of log_p_grid. numpy's vectorised power rounds by SIMD
-level, so the bytes of a sweep would depend on the host.
+    PST >= PST_ideal * prod_c ok_c^n_c
+         + sum_c q_c * M_c * ok_c^(n_c - 1) * prod_{c' != c} ok_c'^n_c'
 
-Only the sweep's two array functions, _pst_bounds and log_p_grid, use
-numpy, and each imports it when called: the module loads no numpy at
-import, so code assignment (vdqec assign) and the checks RunConfig calls,
-check_grid among them, run without it.
+A class whose rate clamps to 1 has ok_c = 0.0, and 0.0**0 == 1 keeps the
+exactly-one-error term of a lone gate. pst_bound runs the same code at a
+single point, so it is bitwise equal to the sweep there. A sweep computes
+each (p, d) rate once, for every assignment it costs.
+
+Every power is Python's float power: the rate's (p / threshold)^((d+1)/2),
+each ok_c^n_c and each point 10^x of log_p_grid. numpy's vectorised power
+rounds by SIMD level, so the bytes of a sweep would depend on the host.
+The module imports no numpy, so vdqec tts and vdqec assign run without it.
 """
 
 from __future__ import annotations
@@ -87,9 +87,15 @@ class CodeAssignment:
         if not isinstance(self.label, str):
             raise AssignmentError(f"label must be a str, got {self.label!r}")
         check_layout(self.num_qubits, ())
-        object.__setattr__(self, "schedules", tuple(
-            tuple((as_int(start, "segment start"), d) for start, d in segs)
-            for segs in self.schedules))
+        try:
+            schedules = tuple(
+                tuple((as_int(start, "segment start"), d) for start, d in segs)
+                for segs in self.schedules)
+        except (TypeError, ValueError):
+            raise AssignmentError(
+                f"schedules must hold (start, distance) pairs, got {self.schedules!r}"
+            ) from None
+        object.__setattr__(self, "schedules", schedules)
         if len(self.schedules) != self.num_qubits:
             raise AssignmentError("one schedule per qubit is required")
         for q, segs in enumerate(self.schedules):
@@ -198,9 +204,9 @@ def distance_config(values) -> tuple[int, ...]:
 
 
 # each config adds one assignment and one row per grid point to a sweep:
-# at 10,000 points, about 4.4 MB and 0.2 s per config. The worst case, 16
+# at 10,000 points, about 4 MB and 0.1 s per config. The worst case, 16
 # configs x 10,000 points on the 9-qubit qpe8-full profile, runs `vdqec
-# tts` in 3.8-3.9 s at 107 MB peak RSS (2 cores, Python 3.11)
+# tts` in 1.8-2.1 s at 82 MB peak RSS (2 cores, Python 3.11)
 MAX_CONFIGS = 16
 
 
@@ -253,13 +259,7 @@ def pst_bound(
 ) -> float:
     """Lower bound on PST under the error model (see module docstring)."""
     grid = [as_real(p, "physical error rate")]
-    return float(_pst_bounds(profile, assignment, grid, params)[0])
-
-
-# cells (grid points x faultable gates) in one block of _pst_bounds: a
-# 7-config x 1,000-point tts on a 355-gate profile peaked at 38 MB of RSS
-# with 2^14 or 2^15, 40 MB with 2^16 and 55 MB with 2^20
-BLOCK_CELLS = 1 << 15
+    return _pst_bounds(profile, assignment, grid, params, {})[0]
 
 
 def _pst_bounds(
@@ -267,52 +267,37 @@ def _pst_bounds(
     assignment: CodeAssignment,
     grid: list[float],
     params: ErrorModelParams,
-):
-    """pst_bound at every p of the grid, a list of floats, as an array, in
-    blocks of at most BLOCK_CELLS cells (see the module docstring)."""
-    import numpy as np
-
+    survive: dict[int, list[float]],
+) -> list[float]:
+    """pst_bound at every p of the grid, a list of floats, one class of
+    patch distances at a time (see the module docstring). survive maps a
+    distance to its 1 - rate at every p; the distances missing from it are
+    added, so a sweep shares one map between its assignments."""
     if assignment.num_qubits != profile.num_qubits:
         raise AssignmentError("assignment does not match the profile's register")
-    faultable = [g for g in profile.gates if g.faultable]
-    if not faultable:
-        return np.full(len(grid), profile.pst_ideal)
-    patches = [
-        tuple(assignment.distance_at(q, g.timestep) for q in g.qubits)
-        for g in faultable
-    ]
-    distances = sorted({d for t in patches for d in t})
-    column = {d: i for i, d in enumerate(distances)}
-    # a one-qubit gate's second patch is the extra column, of rate 0
-    first = np.array([column[t[0]] for t in patches])
-    second = np.array([column[t[1]] if len(t) == 2 else len(distances)
-                       for t in patches])
-    mean_noisy = np.array(
-        [g.mean_relative_pst * profile.pst_ideal for g in faultable]
-    )
-    rows = max(1, BLOCK_CELLS // len(faultable))
-    out = np.empty(len(grid))
-    for start in range(0, len(grid), rows):
-        ps = grid[start : start + rows]
-        survive = 1.0 - np.array(
-            [[logical_error_rate(p, d, params) for d in distances] + [0.0]
-             for p in ps]
-        )
-        # q_g = 1 - survive[first] * survive[second], in place. take()
-        # returns C-ordered blocks, where survive[:, first] would not, so
-        # np.sum(axis=1) adds each row in the order it adds one point's
-        q_g = survive.take(first, axis=1)
-        q_g *= survive.take(second, axis=1)
-        np.subtract(1.0, q_g, out=q_g)
-        ok = 1.0 - q_g
-        # prod over gates != i, robust to q_g == 1
-        ones = np.ones((len(ps), 1))
-        prefix = np.hstack([ones, np.cumprod(ok, axis=1)])
-        suffix = np.hstack([np.cumprod(ok[:, ::-1], axis=1)[:, ::-1], ones])
-        excl = prefix[:, :-1] * suffix[:, 1:]
-        out[start : start + len(ps)] = profile.pst_ideal * prefix[:, -1] + np.sum(
-            q_g * excl * mean_noisy, axis=1
-        )
+    classes: dict[tuple[int, ...], tuple[int, float]] = {}
+    for g in profile.gates:
+        if g.faultable:
+            key = tuple(assignment.distance_at(q, g.timestep) for q in g.qubits)
+            n, mean_sum = classes.get(key, (0, 0.0))
+            classes[key] = (n + 1, mean_sum + g.mean_relative_pst * profile.pst_ideal)
+    if not classes:
+        return [profile.pst_ideal] * len(grid)
+    for d in {d for key in classes for d in key} - survive.keys():
+        survive[d] = [1.0 - logical_error_rate(p, d, params) for p in grid]
+    # ok_c at every p, in qubit order
+    oks = [survive[key[0]] if len(key) == 1
+           else [a * b for a, b in zip(survive[key[0]], survive[key[1]])]
+           for key in classes]
+    counts, means = zip(*classes.values())
+    out = []
+    for ok_at_p in zip(*oks):
+        powers = [ok**n for ok, n in zip(ok_at_p, counts)]
+        bound = profile.pst_ideal * math.prod(powers)
+        for c, (ok, n, mean_sum) in enumerate(zip(ok_at_p, counts, means)):
+            bound += ((1.0 - ok) * mean_sum * ok ** (n - 1)
+                      * math.prod(powers[:c] + powers[c + 1:]))
+        out.append(bound)
     return out
 
 
@@ -351,11 +336,11 @@ class TtsPoint:
     tts: float
 
 
-# the block sweep bounds 10,000 points of the default ladder (5 configs,
-# 607 faultable gates) in 0.6-0.8 s. A 7-config x 10,000-point `vdqec tts`
-# on a 355-gate profile takes 1.5-1.7 s at 65 MB, a third of it the bounds
-# and the rest building and rendering the points (2 cores, Python 3.11,
-# numpy 2.4)
+# the sweep bounds 10,000 points of the default ladder (5 configs, 607
+# faultable gates) in 0.21-0.23 s, about 2.6 us a point per config at any
+# gate count. A 7-config x 10,000-point `vdqec tts` on a 355-gate profile
+# takes 0.8-1.0 s at 46 MB, most of it building and rendering the points
+# (2 cores, Python 3.11)
 MAX_GRID_POINTS = 10_000
 
 
@@ -369,16 +354,16 @@ def check_grid(p_min: float, p_max: float, points: int) -> None:
         )
 
 
-def log_p_grid(p_min: float, p_max: float, points: int):
+def log_p_grid(p_min: float, p_max: float, points: int) -> list[float]:
     """points error rates from p_min to p_max, evenly spaced in log10, as
-    an array; the ends are p_min and p_max exactly."""
-    import numpy as np
-
+    a list of floats; the ends are p_min and p_max exactly. The exponents
+    are np.linspace's, k * step + log10(p_min), in its order of rounding."""
     check_grid(p_min, p_max, points)
-    exponents = np.linspace(math.log10(p_min), math.log10(p_max), points)
-    grid = np.array([10.0 ** x for x in exponents.tolist()])
+    lo = math.log10(p_min)
+    step = (math.log10(p_max) - lo) / (points - 1)
+    grid = [10.0 ** (k * step + lo) for k in range(points)]
     # 10**log10(p) can miss p by an ulp; the ends are the bounds asked for
-    grid[0], grid[-1] = p_min, p_max
+    grid[0], grid[-1] = float(p_min), float(p_max)
     return grid
 
 
@@ -391,14 +376,15 @@ def sweep_tts(
 ) -> list[TtsPoint]:
     """Time-to-solution of every assignment across the error-rate grid,
     ordered by assignment then by p. The PST bounds of one assignment come
-    from one pass over (points x gates) blocks, each bitwise equal to
-    pst_bound at its p (see the module docstring)."""
+    from one pass over its classes of patch distances, each bitwise equal
+    to pst_bound at its p (see the module docstring)."""
     grid = [as_real(p, "physical error rate") for p in p_grid]
+    survive: dict[int, list[float]] = {}
     points = []
     for assignment in assignments:
         cycles = latency(profile.gates, assignment, include_resize)
-        bounds = _pst_bounds(profile, assignment, grid, params)
-        for p, bound in zip(grid, bounds.tolist()):
+        bounds = _pst_bounds(profile, assignment, grid, params, survive)
+        for p, bound in zip(grid, bounds):
             points.append(
                 TtsPoint(
                     config=assignment.label,

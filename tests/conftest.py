@@ -2,6 +2,7 @@ import itertools
 import os
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -233,31 +234,46 @@ def site_error_prob(qubits, timestep, assignment, p, params=DEFAULT_PARAMS):
     return 1.0 - ok
 
 
-def scalar_pst_bound(profile, assignment, p, params=DEFAULT_PARAMS):
-    """Oracle for the block PST sweep: the bound at one p, one gate at a
-    time with scalar rates, then 1-D cumprods and one np.sum. Every bound
-    sweep_tts and pst_bound return must equal this one with ==."""
+def _dyadic(x):
+    """A float x as (n, k) with x == n / 2**k exactly."""
+    n, d = x.as_integer_ratio()
+    return n, d.bit_length() - 1
+
+
+def _dyadic_sum(a, a_k, b, b_k):
+    """a / 2**a_k + b / 2**b_k as (n, k), exactly n / 2**k."""
+    k = max(a_k, b_k)
+    return (a << k - a_k) + (b << k - b_k), k
+
+
+def exact_pst_bound(profile, assignment, p, params=DEFAULT_PARAMS):
+    """Oracle for the PST sweep: the bound at one p as a Fraction, exact
+    over the same float rates and means, one gate at a time. After each
+    faultable gate, none / 2**none_k is the probability that no gate so
+    far faulted and one / 2**one_k the PST-weighted probability that
+    exactly one did. Every float is a dyadic rational, so both stay ints
+    over powers of two and only the result is reduced: a Fraction's gcd at
+    every gate would cost about a second a point."""
     if assignment.num_qubits != profile.num_qubits:
         raise AssignmentError("assignment does not match the profile's register")
-    faultable = [g for g in profile.gates if g.faultable]
-    if not faultable:
-        return profile.pst_ideal
-    q_g = np.array(
-        [
-            site_error_prob(g.qubits, g.timestep, assignment, p, params)
-            for g in faultable
-        ]
-    )
-    mean_noisy = np.array(
-        [g.mean_relative_pst * profile.pst_ideal for g in faultable]
-    )
-    ok = 1.0 - q_g
-    # prod over gates != i, robust to q_g == 1
-    prefix = np.concatenate([[1.0], np.cumprod(ok)])
-    suffix = np.concatenate([np.cumprod(ok[::-1])[::-1], [1.0]])
-    excl = prefix[:-1] * suffix[1:]
-    total = profile.pst_ideal * prefix[-1] + float(np.sum(q_g * excl * mean_noisy))
-    return float(total)
+    ideal, ideal_k = _dyadic(profile.pst_ideal)
+    none, none_k, one, one_k = 1, 0, 0, 0
+    for g in profile.gates:
+        if not g.faultable:
+            continue
+        ok, ok_k = 1, 0
+        for q in g.qubits:
+            rate = logical_error_rate(p, assignment.distance_at(q, g.timestep), params)
+            n, rate_k = _dyadic(rate)
+            ok, ok_k = ok * ((1 << rate_k) - n), ok_k + rate_k
+        mean, mean_k = _dyadic(g.mean_relative_pst)
+        # q_g * mean_g PST_noisy, over 2**(ok_k + mean_k + ideal_k)
+        weight = ((1 << ok_k) - ok) * mean * ideal
+        one, one_k = _dyadic_sum(one * ok, one_k + ok_k,
+                                 none * weight, none_k + ok_k + mean_k + ideal_k)
+        none, none_k = none * ok, none_k + ok_k
+    n, k = _dyadic_sum(none * ideal, none_k + ideal_k, one, one_k)
+    return Fraction(n, 1 << k)
 
 
 def traced_peak(fn, *args):

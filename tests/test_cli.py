@@ -196,25 +196,25 @@ def test_failed_write_leaves_no_partial_file(tmp_path):
 # sweep. A change that moves artifact bytes on purpose updates the digests
 # and records why
 LOCKED_MANIFESTS = {
-    "default": ({}, "3c339876c9c945a2c30ea566a9588d3f7c97fa23e063b1db4f85aa98a138f2fc"),
+    "default": ({}, "9a74fe14c474bb67d907b86f5cbc59f88003b9c42308d6ccd752a925333431b7"),
     "criterion-9": (
         {"synthesis_epsilon": 0.12, "max_length": 25, "p_points": 25},
-        "8a68058750ed6a52813fc2582ef28e37a33d396e6d84a4a96d013a9f41237036",
+        "a22a6352f0faaf19def1153c7f7a799333971598925fccb2028babe5dd91caf4",
     ),
     "qpe8-full": (
         {"counting_qubits": 8, "phase_num": 69, "phase_den": 256,
          "synthesis_epsilon": 0.1, "injection_mode": "full-depolarizing"},
-        "3cc75c2bc716be2b016782a4d84b7775b4eb1dcd21a23875c4d9565026c4dce0",
+        "538ebde78890fa61ca4cc900ca6997d58a582d5661a21cdfaa3fdf04bfadc04d",
     ),
     "qpe5-mirrored": (
         {"counting_qubits": 5, "phase_num": 9, "phase_den": 32,
          "synthesis_epsilon": 0.03, "injection_mode": "mirrored"},
-        "02eea249ad16216ff867e0df4eb164eecef0ea55f840bad89e80ac2cac59822b",
+        "f99df81380c74b58aa802b79fa792e594dddfe22340546ac790dcd4f10fcb439",
     ),
     "qpe11-mirrored": (
         {"counting_qubits": 11, "phase_num": 3, "phase_den": 2048,
          "synthesis_epsilon": 0.1, "injection_mode": "mirrored"},
-        "adcb714ac8ed74da5121b6a0bdb5b2d799b6b9ee6fec4c25bef68835e5581544",
+        "71e7751fd495491e5810ab36878040fa789bfe28ab9660302ee8a4cca03b7a2a",
     ),
 }
 
@@ -547,8 +547,8 @@ STARTUP_CHILD = """
 import contextlib, io, json, sys
 from vdqec.cli import main
 
-heavy = ["numpy", "vdqec.sim", "vdqec.synth", "vdqec.qpe", "vdqec.inject",
-         "vdqec.qecc", "vdqec.render", "vdqec.pipeline"]
+heavy = ["numpy", "_hashlib", "vdqec.sim", "vdqec.synth", "vdqec.qpe",
+         "vdqec.inject", "vdqec.qecc", "vdqec.render", "vdqec.pipeline"]
 out = []
 for argv in json.loads(sys.argv[1]):
     err = io.StringIO()
@@ -566,9 +566,9 @@ print(json.dumps(out))
 def test_light_commands_load_no_numerics(tmp_path):
     """--version, --help, argument errors and a refused output path load
     neither numpy nor any stage module, so a process pays at start-up only
-    for what its command runs. Of the real runs, qpe without --compile,
-    assign and heatmap load no numpy, and tts loads it for the sweep, but
-    none of them loads the simulator, synthesis or the campaign."""
+    for what its command runs. None of the real runs, qpe without
+    --compile, assign, heatmap and tts, loads numpy, the simulator,
+    synthesis or the campaign."""
     circuit, correct = build_qpe(QpeSpec(3, 1, 8))
     (tmp_path / "c.json").write_bytes(circuit_bytes(circuit, correct))
     profile = run_campaign(circuit, correct)
@@ -596,9 +596,27 @@ def test_light_commands_load_no_numerics(tmp_path):
     numerics = {"numpy", "vdqec.sim", "vdqec.synth", "vdqec.inject"}
     for case in doc[5:8]:
         assert numerics.isdisjoint(case["loaded"]), case
-    assert "numpy" in doc[8]["loaded"]
-    assert numerics.isdisjoint(set(doc[8]["loaded"]) - {"numpy"}), doc[8]
+    assert "numpy" not in doc[8]["loaded"]
+    assert numerics.isdisjoint(doc[8]["loaded"]), doc[8]
     assert (tmp_path / "h.svg").exists() and (tmp_path / "s.svg").exists()
+
+
+def test_resweep_commands_load_no_numpy_or_openssl(tmp_path):
+    """tts and assign on a saved profile, without --circuit, take no
+    digest: they load neither numpy nor OpenSSL's _hashlib, which hashlib
+    loads and only a circuit digest or a manifest needs."""
+    circuit, correct = build_qpe(QpeSpec(3, 1, 8))
+    (tmp_path / "p.json").write_text(json.dumps(profile_to_json(run_campaign(circuit, correct))))
+    cases = [["tts", "--profile", str(tmp_path / "p.json"), "--out-csv", str(tmp_path / "s.csv"),
+              "--out-svg", str(tmp_path / "s.svg")],
+             ["assign", "--profile", str(tmp_path / "p.json"), "-o", str(tmp_path / "a.json")]]
+    result = subprocess.run([sys.executable, "-c", STARTUP_CHILD, json.dumps(cases)],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    doc = json.loads(result.stdout)
+    assert [c["code"] for c in doc] == [0, 0], doc
+    for case in doc:
+        assert {"numpy", "_hashlib"}.isdisjoint(case["loaded"]), case
 
 
 # every name the package root exports, by the submodule that defines it
@@ -677,6 +695,27 @@ def test_modules_import_only_what_they_read():
                            for alias in node.names
                            if (alias.asname or alias.name) not in read}
     assert unread == UNREAD_IMPORTS
+
+
+# the modules that tts, assign, heatmap and qpe without --compile run
+NUMPY_FREE_MODULES = ("qecc", "profiles", "circuits", "render", "config", "qpe", "pipeline")
+
+
+def test_numpy_free_modules_import_no_numpy():
+    """None of NUMPY_FREE_MODULES imports numpy, at module level or inside
+    a function, so the commands that run only them cannot start loading
+    it unnoticed."""
+    import vdqec
+
+    for name in NUMPY_FREE_MODULES:
+        path = Path(vdqec.__file__).parent / f"{name}.py"
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.split(".")[0])
+        assert "numpy" not in imported, name
 
 
 def test_functions_read_every_parameter():

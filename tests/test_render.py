@@ -221,8 +221,8 @@ def test_qpe_charts_are_well_formed_xml():
 
 
 def test_csv_cells_of_numpy_scalars_are_numbers():
-    # log_p_grid returns NumPy scalars; their repr is "np.float64(...)"
-    grid = log_p_grid(1e-5, 1e-2, 5)
+    # a grid of NumPy scalars, whose repr is "np.float64(...)"
+    grid = [np.float64(p) for p in log_p_grid(1e-5, 1e-2, 5)]
     points = [TtsPoint("d=3", p, 100, np.float64(0.5), 200.0 / p) for p in grid]
     _, profile = qpe_profile()
     numpy_profile = replace(profile, gates=tuple(

@@ -225,6 +225,10 @@ def test_gateop_validation():
         GateOp("Rz", (0,))
     with pytest.raises(InvalidCircuitError):
         GateOp("Q", (0,))
+    with pytest.raises(InvalidCircuitError, match="sequences of qubits"):
+        GateOp("X", 5)
+    with pytest.raises(InvalidCircuitError, match="sequences of qubits"):
+        GateOp("Rz", (0,), 0.5)
     for value in (np.nan, np.inf, -np.inf):
         with pytest.raises(InvalidCircuitError):
             GateOp("Rz", (0,), (value,))
